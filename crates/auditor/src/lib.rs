@@ -48,8 +48,7 @@ pub struct Report {
 /// sem-net modules that serve or relay remote requests: the whole file
 /// is a no-panic zone, not just its decode functions (§4 keeps the SEM
 /// online for the system's lifetime — a panic is a remote crash).
-const PANIC_SCOPE: &[&str] = &[
-    "crates/sem-net/src/server.rs",
+pub const PANIC_SCOPE: &[&str] = &[
     "crates/sem-net/src/tcp.rs",
     "crates/sem-net/src/proto.rs",
     "crates/sem-net/src/store.rs",
@@ -62,7 +61,7 @@ const PANIC_SCOPE: &[&str] = &[
 /// tier is a hard memory cap, so R3's bounded-allocation rule applies
 /// to every line here, not just decode functions — an unbounded
 /// `with_capacity` in a cache is the bug the tier exists to prevent.
-const BOUND_SCOPE: &[&str] = &[
+pub const BOUND_SCOPE: &[&str] = &[
     "crates/core/src/cache.rs",
     "crates/sem-net/src/cache.rs",
     // The scenario harness allocates per-request sample buffers from
@@ -79,9 +78,8 @@ const BOUND_SCOPE: &[&str] = &[
 /// nesting order) applies file-wide here. `core/src/lockdep.rs` itself
 /// is deliberately absent — it is the implementation layer the rule
 /// forces everyone else onto.
-const LOCK_SCOPE: &[&str] = &[
+pub const LOCK_SCOPE: &[&str] = &[
     "crates/sem-net/src/tcp.rs",
-    "crates/sem-net/src/server.rs",
     "crates/sem-net/src/cluster.rs",
     "crates/sem-net/src/audit.rs",
     "crates/sem-net/src/faults.rs",

@@ -5,6 +5,18 @@
 #[test]
 fn repository_has_no_active_findings() {
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // A scoped file that was deleted or renamed would silently drop
+    // out of R1 (no-panic), R3 (bounds) or R5 (lock discipline).
+    for path in sempair_auditor::PANIC_SCOPE
+        .iter()
+        .chain(sempair_auditor::BOUND_SCOPE)
+        .chain(sempair_auditor::LOCK_SCOPE)
+    {
+        assert!(
+            root.join(path).is_file(),
+            "scoped path {path} does not exist"
+        );
+    }
     let report = sempair_auditor::audit_workspace(&root);
     assert!(
         report.files_scanned >= 20,

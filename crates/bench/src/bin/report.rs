@@ -6,6 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sempair_bench::report::{markdown_table, time, Timing};
+use sempair_bench::token_throughput;
 use sempair_core::bf_ibe::Pkg;
 use sempair_core::gdh::{self, GdhSem};
 use sempair_core::mediated::Sem;
@@ -13,7 +14,7 @@ use sempair_core::threshold::{DecryptionShare, ThresholdPkg};
 use sempair_mrsa::ib::IbMrsaSystem;
 use sempair_net::audit::AuditConfig;
 use sempair_net::revocation::ValidityPeriodPkg;
-use sempair_net::server::{drive_throughput, SemServer};
+use sempair_net::tcp::{ServerConfig, TcpSemServer};
 use sempair_net::wire;
 use sempair_pairing::CurveParams;
 use std::time::Duration;
@@ -351,7 +352,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------ E9
-    println!("## E9 — SEM server token throughput (256-bit curve)\n");
+    println!("## E9 — SEM daemon token throughput over loopback TCP (256-bit curve)\n");
     let pkg_t = Pkg::setup(&mut rng, fast.clone());
     let (_, load_sem) = pkg_t.extract_split(&mut rng, "load");
     let load_ct = pkg_t
@@ -366,15 +367,34 @@ fn main() {
         identity_cap: 32,
     };
     let mut rows = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let server = SemServer::spawn_with(pkg_t.params().clone(), workers, audit.clone());
+    for (workers, batch) in [(1usize, 1usize), (2, 1), (4, 1), (8, 1), (4, 16)] {
+        let config = ServerConfig {
+            workers,
+            audit: audit.clone(),
+            ..ServerConfig::default()
+        };
+        let server = TcpSemServer::bind_with("127.0.0.1:0", pkg_t.params().clone(), config)
+            .expect("bind SEM daemon");
         server.install_ibe(load_sem.clone());
-        let result = drive_throughput(&server, "load", &load_ct.u, 4, 256)
-            .expect("throughput driver failed");
+        let result = token_throughput(
+            server.local_addr(),
+            pkg_t.params(),
+            "load",
+            &load_ct.u,
+            4,
+            256,
+            batch,
+        )
+        .expect("throughput run failed");
         let metrics = server.metrics();
         let (_, ibe_latency) = &metrics.latency_us[0];
         rows.push(vec![
             workers.to_string(),
+            if batch == 1 {
+                "single".to_string()
+            } else {
+                format!("batch of {batch}")
+            },
             format!("{:.0} tokens/s", result.ops_per_sec()),
             format!("{} µs", ibe_latency.quantile(0.5)),
             format!("{} µs", ibe_latency.quantile(0.95)),
@@ -390,6 +410,7 @@ fn main() {
         markdown_table(
             &[
                 "SEM workers",
+                "requests",
                 "throughput",
                 "token p50",
                 "token p95",
@@ -451,30 +472,12 @@ fn main() {
     );
 
     // ------------------------------------------------------------------ E12
-    println!("## E12 — simulated end-to-end latency under load (DES model)\n");
-    use sempair_net::latency::LinkModel;
-    use sempair_net::sim::{run as sim_run, SimConfig};
-    let mut rows = Vec::new();
-    for (label, link) in [
-        ("LAN", LinkModel::lan()),
-        ("DSL-2003", LinkModel::dsl_2003()),
-    ] {
-        for clients in [4usize, 32, 128] {
-            let mut config = SimConfig::mediated_ibe(clients, 4, link);
-            config.requests_per_client = 40;
-            let result = sim_run(&config);
-            rows.push(vec![
-                label.to_string(),
-                clients.to_string(),
-                format!("{:.1} ms", result.p50.as_secs_f64() * 1e3),
-                format!("{:.1} ms", result.p95.as_secs_f64() * 1e3),
-                format!("{:.0}%", result.worker_utilization * 100.0),
-            ]);
-        }
-    }
+    println!("## E12 — end-to-end latency under load\n");
     println!(
-        "{}",
-        markdown_table(&["link", "clients", "p50", "p95", "SEM utilization"], &rows)
+        "Measured over real sockets by `serving_bench`, which drives the daemon \
+         through `FaultProxy::spawn_linked` (2 ms one-way link): see the quiet and \
+         storm p50/p99 rows of `BENCH_serving.json` \
+         (`cargo run --release -p sempair-bench --bin serving_bench`).\n"
     );
 
     println!("report complete");

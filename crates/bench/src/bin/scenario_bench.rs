@@ -8,7 +8,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "sempair-bench-scenarios/1",
+//!   "schema": "sempair-bench-scenarios/2",
 //!   "mode": "smoke",
 //!   "seed": 1558712848,
 //!   "scenarios": [
@@ -47,7 +47,7 @@ fn json_scenario(outcome: &ScenarioOutcome) -> String {
     format!(
         "    {{\n      \"name\": \"{}\",\n      \"seed\": {},\n      \
          \"passed\": {},\n      \"deterministic_passed\": {},\n      \
-         \"predicted_p99_us\": {:.1},\n      \"observation\": {{\n        \
+         \"observation\": {{\n        \
          \"quiet_p99_us\": {:.1},\n        \"loaded_p99_us\": {:.1},\n        \
          \"p99_ratio\": {:.3},\n        \"requests\": {},\n        \
          \"failures\": {},\n        \"duplicate_executions\": {},\n        \
@@ -56,7 +56,6 @@ fn json_scenario(outcome: &ScenarioOutcome) -> String {
         outcome.seed,
         outcome.passed,
         outcome.deterministic_pass(),
-        outcome.predicted_p99_us,
         obs.quiet_p99_us,
         obs.loaded_p99_us,
         obs.p99_ratio(),
@@ -104,12 +103,11 @@ fn main() {
 
     for outcome in &outcomes {
         println!(
-            "\n{} — {} (quiet p99 {:.0} µs, loaded p99 {:.0} µs, predicted {:.0} µs)",
+            "\n{} — {} (quiet p99 {:.0} µs, loaded p99 {:.0} µs)",
             outcome.name,
             if outcome.passed { "PASS" } else { "FAIL" },
             outcome.observation.quiet_p99_us,
-            outcome.observation.loaded_p99_us,
-            outcome.predicted_p99_us
+            outcome.observation.loaded_p99_us
         );
         for m in &outcome.slos {
             println!(
@@ -132,7 +130,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"schema\": \"sempair-bench-scenarios/1\",\n  \"mode\": \"{}\",\n  \
+        "{{\n  \"schema\": \"sempair-bench-scenarios/2\",\n  \"mode\": \"{}\",\n  \
          \"seed\": {},\n  \"scenarios\": [\n{rows}\n  ],\n  \
          \"all_passed\": {all_passed},\n  \
          \"all_deterministic_passed\": {all_deterministic}\n}}\n",

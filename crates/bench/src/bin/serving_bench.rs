@@ -59,9 +59,9 @@ const WORKERS: usize = 8;
 const SHARDS: usize = 16;
 const CONNS: usize = 2;
 const DEPTH: usize = 32;
-/// Emulated one-way propagation delay, LAN-scale (cf.
-/// `sempair_net::latency::LinkModel::lan`'s 0.5 ms; 2 ms keeps the
-/// RTT comfortably above scheduler jitter on a loaded CI host).
+/// Emulated one-way propagation delay, LAN-scale (a switched LAN is
+/// nearer 0.5 ms; 2 ms keeps the RTT comfortably above scheduler
+/// jitter on a loaded CI host).
 const LINK_ONE_WAY: Duration = Duration::from_millis(2);
 
 struct Workload {

@@ -1,8 +1,8 @@
 //! # sempair-net
 //!
-//! Deployment-level simulation of the SEM architecture: a
-//! multi-threaded security-mediator server, client drivers, a network
-//! cost model, and the revocation-strategy comparison the paper's
+//! The SEM architecture as a running network service: a TCP security
+//! mediator daemon and its clients, the PKG → SEM → users deployment
+//! lifecycle, and the revocation-strategy comparison the paper's
 //! introduction motivates (online SEM vs. the Boneh–Franklin built-in
 //! "validity period" re-keying).
 //!
@@ -13,8 +13,8 @@
 //!   validity-period method needs the PKG to stay online and re-issue
 //!   every unrevoked key each epoch ([`revocation`]).
 //! * §4 — the SEM stays online for the system lifetime and serves many
-//!   users concurrently; the PKG can go offline after key issuance
-//!   ([`server`]).
+//!   users concurrently over TCP; the PKG can go offline after key
+//!   issuance ([`tcp`], [`deployment`]).
 //! * §5 — per-operation SEM→user traffic: one `G2` element for
 //!   mediated IBE, one compressed `G1` point for mediated GDH, one
 //!   `|n|`-bit value for IB-mRSA ([`wire`]).
@@ -53,12 +53,9 @@ pub mod cache;
 pub mod cluster;
 pub mod deployment;
 pub mod faults;
-pub mod latency;
 pub mod proto;
 pub mod revocation;
 pub mod scenario;
-pub mod server;
-pub mod sim;
 pub mod store;
 pub mod tcp;
 pub mod wire;

@@ -37,9 +37,7 @@
 
 use crate::cluster::{HedgeConfig, SemCluster};
 use crate::faults::{FaultPlan, FaultProfile, FaultProxy};
-use crate::latency::LinkModel;
 use crate::proto::{Op, Request, Status};
-use crate::sim::{run as sim_run, SimConfig};
 use crate::tcp::{ClientConfig, PipeClient, PipeReply, ServerConfig, TcpSemClient, TcpSemServer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -279,10 +277,6 @@ pub struct ScenarioOutcome {
     pub spec: SloSpec,
     /// What it measured.
     pub observation: SloObservation,
-    /// The discrete-event simulator's p99 prediction for a comparable
-    /// workload shape, microseconds — the model column next to the
-    /// measurement.
-    pub predicted_p99_us: f64,
     /// Per-objective margins.
     pub slos: Vec<SloMargin>,
     /// Every objective (timing included) passed.
@@ -290,13 +284,7 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    fn grade(
-        name: &'static str,
-        seed: u64,
-        spec: SloSpec,
-        observation: SloObservation,
-        predicted_p99_us: f64,
-    ) -> Self {
+    fn grade(name: &'static str, seed: u64, spec: SloSpec, observation: SloObservation) -> Self {
         let slos = spec.evaluate(&observation);
         let passed = slos.iter().all(|m| m.pass);
         ScenarioOutcome {
@@ -304,7 +292,6 @@ impl ScenarioOutcome {
             seed,
             spec,
             observation,
-            predicted_p99_us,
             slos,
             passed,
         }
@@ -616,10 +603,6 @@ pub fn mass_revocation_storm(config: &ScenarioConfig) -> Result<ScenarioOutcome,
         // Filled by `with_lockdep_gate` around the run.
         lockdep_violations: 0,
     };
-    let predicted_p99_us = sim_run(&SimConfig::mediated_ibe(8, 4, LinkModel::lan()))
-        .p99()
-        .as_secs_f64()
-        * 1e6;
     link.shutdown();
     server.shutdown();
     Ok(ScenarioOutcome::grade(
@@ -627,7 +610,6 @@ pub fn mass_revocation_storm(config: &ScenarioConfig) -> Result<ScenarioOutcome,
         config.seed,
         spec,
         observation,
-        predicted_p99_us,
     ))
 }
 
@@ -719,16 +701,11 @@ pub fn epoch_rollover_under_load(config: &ScenarioConfig) -> Result<ScenarioOutc
         // Filled by `with_lockdep_gate` around the run.
         lockdep_violations: 0,
     };
-    let predicted_p99_us = sim_run(&SimConfig::mediated_ibe(1, 1, LinkModel::lan()))
-        .p99()
-        .as_secs_f64()
-        * 1e6;
     Ok(ScenarioOutcome::grade(
         "epoch_rollover_under_load",
         config.seed,
         spec,
         observation,
-        predicted_p99_us,
     ))
 }
 
@@ -842,16 +819,11 @@ pub fn replica_kill_rejoin_during_spike(config: &ScenarioConfig) -> Result<Scena
         // Filled by `with_lockdep_gate` around the run.
         lockdep_violations: 0,
     };
-    let predicted_p99_us = sim_run(&SimConfig::mediated_ibe(4, 2, LinkModel::lan()))
-        .p99()
-        .as_secs_f64()
-        * 1e6;
     Ok(ScenarioOutcome::grade(
         "replica_kill_rejoin_during_spike",
         config.seed,
         spec,
         observation,
-        predicted_p99_us,
     ))
 }
 
@@ -997,17 +969,12 @@ pub fn flaky_mobile_clients(config: &ScenarioConfig) -> Result<ScenarioOutcome, 
         // Filled by `with_lockdep_gate` around the run.
         lockdep_violations: 0,
     };
-    let predicted_p99_us = sim_run(&SimConfig::mediated_ibe(3, 2, LinkModel::dsl_2003()))
-        .p99()
-        .as_secs_f64()
-        * 1e6;
     server.shutdown();
     Ok(ScenarioOutcome::grade(
         "flaky_mobile_clients",
         config.seed,
         spec,
         observation,
-        predicted_p99_us,
     ))
 }
 
@@ -1101,7 +1068,6 @@ mod tests {
         assert_eq!(outcome.observation.failures, 0);
         assert_eq!(outcome.observation.duplicate_executions, 0);
         assert_eq!(outcome.observation.requests, 2 * 30);
-        assert!(outcome.predicted_p99_us > 0.0);
     }
 
     #[test]

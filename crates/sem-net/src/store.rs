@@ -21,30 +21,34 @@
 //!
 //! `Warm` records the hot-identity set the serving cache tier saw, so
 //! a restarted daemon can precompute those identities' pairing values
-//! before its first request (DESIGN.md §14). Pre-`Warm` binaries
-//! treat kind 4 as an unknown record — i.e. as a torn tail — and
-//! truncate from the first one; acceptable because warm records are
-//! only appended when the operator opts in (`--cache-warm`), and
-//! losing them costs warm-start coverage, never correctness.
+//! before its first request (DESIGN.md §14).
 //!
 //! `RolloverChunk` journals the progress of an *incremental* epoch
 //! rollover (DESIGN.md §15): shard `shard` has re-keyed the first
 //! `cursor` of its users toward `epoch`, and `done = 1` marks the
 //! shard's atomic switch to the new epoch. A crash between chunks
 //! replays the last progress record and resumes exactly where the
-//! re-key stopped — no user is re-issued twice, none skipped. Like
-//! `Warm`, pre-rollover binaries treat kind 5 as a torn tail; the
-//! records only appear once an operator runs an incremental rollover
-//! with the newer binary.
+//! re-key stopped — no user is re-issued twice, none skipped.
 //!
 //! **Replay semantics.** [`Journal::open`] scans the file from the
 //! start and folds each intact record into a [`ReplayedState`]. The
 //! first record that is short, fails its CRC, carries an unknown kind,
-//! or is otherwise malformed marks a *torn tail* — everything from
-//! that offset on is truncated (a crash mid-append must not brick the
-//! daemon) and replay stops. Corruption is therefore recoverable by
-//! construction: state up to the tear survives, and the next append
-//! extends the truncated file.
+//! or is otherwise malformed ends the intact prefix. What happens next
+//! depends on what follows it:
+//!
+//! * **Torn tail** — no complete record (valid length, CRC and kind)
+//!   decodes at any later offset. This is what a crash mid-append
+//!   leaves behind, so the bytes from the bad record on are truncated
+//!   (a crash must not brick the daemon) and the next append extends
+//!   the healed file.
+//! * **Mid-log corruption** — an intact record follows the bad one. A
+//!   crash cannot produce that, and truncating would silently drop
+//!   every later record, un-revoking identities. `open` refuses with
+//!   an `InvalidData` error naming the path and the offset, and leaves
+//!   the file byte-identical for inspection.
+//!
+//! Either way, replay never yields anything but a prefix of what was
+//! written.
 
 // Journal bytes come off disk and may be torn or corrupt: replay must
 // never index past a frame, so decoding goes through the bounds-checked
@@ -239,9 +243,11 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the filesystem; corruption inside
-    /// the file is *not* an error (it is truncated and reported via
-    /// [`ReplayedState::truncated_bytes`]).
+    /// Propagates I/O errors from the filesystem. A torn tail is *not*
+    /// an error (it is truncated and reported via
+    /// [`ReplayedState::truncated_bytes`]); a corrupt record followed
+    /// by an intact one is an [`std::io::ErrorKind::InvalidData`]
+    /// error, and the file is left untouched.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Journal, ReplayedState)> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
@@ -263,6 +269,17 @@ impl Journal {
             offset = end;
         }
         if offset < raw.len() {
+            if let Some(intact) = (offset + 1..raw.len()).find(|&at| decode_at(&raw, at).is_some())
+            {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "journal {}: corrupt record at byte {offset} is followed by an \
+                         intact record at byte {intact}; refusing to truncate",
+                        path.display()
+                    ),
+                ));
+            }
             state.truncated_bytes = (raw.len() - offset) as u64;
             file.set_len(offset as u64)?;
         }
@@ -429,30 +446,107 @@ mod tests {
         assert!(state.revoked.contains("dave"));
     }
 
+    /// One flipped bit mid-log must not un-revoke the identities after
+    /// it: with four `Revoke` records and bit 0 of byte 12 flipped (in
+    /// the first record's identity), replay refuses and the file keeps
+    /// every byte.
     #[test]
-    fn corrupt_record_truncates_from_there() {
-        let path = temp_journal("corrupt");
+    fn mid_log_bit_flip_errs_and_leaves_file_untouched() {
+        let path = temp_journal("bitflip");
         let _cleanup = Cleanup(path.clone());
-        let second_starts;
         {
             let (mut journal, _) = Journal::open(&path).unwrap();
-            journal.append(&Record::Revoke("alice".into())).unwrap();
-            second_starts = std::fs::metadata(&path).unwrap().len();
-            journal.append(&Record::Revoke("mallory".into())).unwrap();
-            journal.append(&Record::Epoch(3)).unwrap();
+            for id in ["alice", "bob", "carol", "dave"] {
+                journal.append(&Record::Revoke(id.into())).unwrap();
+            }
         }
-        // Flip a payload byte inside the second record: its CRC fails,
-        // so it AND everything after it are discarded.
         let mut raw = std::fs::read(&path).unwrap();
-        raw[second_starts as usize + 9] ^= 0xFF;
+        raw[12] ^= 0x01;
         std::fs::write(&path, &raw).unwrap();
-        let (_, state) = Journal::open(&path).unwrap();
-        assert_eq!(state.records, 1);
-        assert!(state.revoked.contains("alice"));
-        assert!(!state.revoked.contains("mallory"));
-        assert_eq!(state.epoch, 0);
-        assert!(state.truncated_bytes > 0);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), second_starts);
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+        assert!(msg.contains("at byte 0"), "{msg}");
+        assert_eq!(std::fs::read(&path).unwrap(), raw);
+    }
+
+    /// Crash-consistency matrix over a journal holding one record of
+    /// every kind: for every truncation offset and every single-bit
+    /// flip, `open` replays a prefix of what was written (and heals the
+    /// file to exactly that prefix) or errs with the file untouched.
+    #[test]
+    fn every_truncation_and_bit_flip_replays_a_prefix_or_errs() {
+        let records = [
+            Record::Revoke("alice".into()),
+            Record::Unrevoke("bob".into()),
+            Record::Epoch(3),
+            Record::Warm("alice".into()),
+            Record::RolloverChunk {
+                shard: 2,
+                epoch: 4,
+                cursor: 9,
+                done: true,
+            },
+            Record::Revoke("carol".into()),
+        ];
+        let path = temp_journal("matrix");
+        let _cleanup = Cleanup(path.clone());
+        // boundaries[k] = file length holding exactly the first k records.
+        let mut boundaries = vec![0usize];
+        {
+            let (mut journal, _) = Journal::open(&path).unwrap();
+            for record in &records {
+                journal.append(record).unwrap();
+                boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
+            }
+        }
+        let written = std::fs::read(&path).unwrap();
+        let prefixes: Vec<ReplayedState> = (0..=records.len())
+            .map(|k| {
+                let mut state = ReplayedState::default();
+                records[..k].iter().for_each(|r| state.apply(r));
+                state
+            })
+            .collect();
+        // Opens `bytes`; returns how many records the replay kept, or
+        // `None` when it refused (after checking the file is untouched).
+        let replay = |bytes: &[u8]| -> Option<usize> {
+            std::fs::write(&path, bytes).unwrap();
+            match Journal::open(&path) {
+                Err(err) => {
+                    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                    assert_eq!(
+                        std::fs::read(&path).unwrap(),
+                        bytes,
+                        "file modified on error"
+                    );
+                    None
+                }
+                Ok((_, mut state)) => {
+                    let k = state.records;
+                    assert_eq!(state.truncated_bytes as usize, bytes.len() - boundaries[k]);
+                    state.truncated_bytes = 0;
+                    assert_eq!(state, prefixes[k], "replay is not a prefix");
+                    assert_eq!(std::fs::read(&path).unwrap(), &written[..boundaries[k]]);
+                    Some(k)
+                }
+            }
+        };
+        for cut in 0..=written.len() {
+            let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+            assert_eq!(replay(&written[..cut]), Some(whole), "cut at {cut}");
+        }
+        let last_starts = boundaries[records.len() - 1];
+        for bit in 0..written.len() * 8 {
+            let mut flipped = written.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // A flip in the last record is indistinguishable from a
+            // torn tail and heals to the records before it; anywhere
+            // else an intact record follows, so replay must refuse.
+            let expected = (bit / 8 >= last_starts).then_some(records.len() - 1);
+            assert_eq!(replay(&flipped), expected, "bit {bit}");
+        }
     }
 
     #[test]

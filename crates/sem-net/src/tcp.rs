@@ -65,7 +65,6 @@
 use crate::audit::{AuditConfig, AuditLog, Capability, MetricsSnapshot, Outcome};
 use crate::proto::{self, Op, PipelinedRequest, Request, Response, Status};
 use crate::revocation::shard_of;
-use crate::server::{BatchItem, BatchReply};
 use crate::store::{Journal, Record, ReplayedState};
 use crossbeam::channel;
 use rand::rngs::StdRng;
@@ -623,6 +622,38 @@ pub struct TcpSemClient {
     /// Backoff-jitter DRBG (see `backoff_delay`); seeded from
     /// [`ClientConfig::backoff_seed`] or the random session id.
     jitter: HmacDrbgRng,
+}
+
+/// One request inside a batched SEM call (see [`TcpSemClient::batch`]).
+///
+/// A batch crosses the wire as a single op-3 envelope and is served
+/// item by item, each under its own shard's read lock. Results come
+/// back per item — one bad request never poisons its neighbours.
+#[derive(Debug, Clone)]
+pub enum BatchItem {
+    /// Mediated-IBE decryption token request.
+    IbeToken {
+        /// Identity named in the request.
+        id: String,
+        /// Ciphertext component `U`.
+        u: G1Affine,
+    },
+    /// Mediated-GDH half-signature request.
+    GdhHalfSign {
+        /// Identity named in the request.
+        id: String,
+        /// Message to half-sign.
+        message: Vec<u8>,
+    },
+}
+
+/// Per-item outcome of a batched SEM call, in request order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BatchReply {
+    /// Outcome of a [`BatchItem::IbeToken`] request.
+    IbeToken(Result<DecryptToken, Error>),
+    /// Outcome of a [`BatchItem::GdhHalfSign`] request.
+    GdhHalfSign(Result<HalfSignature, Error>),
 }
 
 /// Reads one length-prefixed frame payload; `Ok(None)` on clean EOF.
@@ -1222,18 +1253,7 @@ fn admit_envelope(env: PipelinedRequest, sink: &ConnWriter, shared: &Shared) {
                 // un-track its id — a later retry must run fresh.
                 job.gate.release();
                 shared.idem.lock().forget(key);
-                let capability = if job.env.inner.op == Op::GdhHalfSign {
-                    Capability::GdhSign
-                } else {
-                    Capability::IbeDecrypt
-                };
-                shared.audit.record(
-                    &job.env.inner.id,
-                    capability,
-                    Outcome::RefusedOverload,
-                    0,
-                    Duration::ZERO,
-                );
+                audit_shed(&job.env.inner, &shared.audit);
                 let hint = retry_after_hint_ms(depth, shared.config.queue_cap.max(1));
                 let _ = job.reply.send(proto::encode_pipelined_response(
                     job.env.req_id,
@@ -1244,6 +1264,29 @@ fn admit_envelope(env: PipelinedRequest, sink: &ConnWriter, shared: &Shared) {
                 ));
             }
         }
+    }
+}
+
+/// Audits a request the pool refused. Every identity it names gets a
+/// [`Outcome::RefusedOverload`] record — each item of a shed batch
+/// under its own identity — so shedding is as visible per identity as
+/// serving.
+fn audit_shed(request: &Request, audit: &AuditLog) {
+    let record = |id: &str, op: Op| {
+        let capability = if op == Op::GdhHalfSign {
+            Capability::GdhSign
+        } else {
+            Capability::IbeDecrypt
+        };
+        audit.record(id, capability, Outcome::RefusedOverload, 0, Duration::ZERO);
+    };
+    let items = match request.op {
+        Op::Batch => proto::decode_batch_items(&request.body),
+        _ => None,
+    };
+    match items {
+        Some(items) => items.iter().for_each(|item| record(&item.id, item.op)),
+        None => record(&request.id, request.op),
     }
 }
 
@@ -2151,6 +2194,9 @@ mod tests {
         let half = client.gdh_half_sign("signer", b"tcp doc").unwrap();
         let sig = user.finish_sign(curve, b"tcp doc", &half).unwrap();
         gdh::verify(curve, &pk, b"tcp doc", &sig).unwrap();
+        // Revocation hits the signing capability too.
+        server.revoke("signer");
+        assert_eq!(client.gdh_half_sign("signer", b"x"), Err(Error::Revoked));
         server.shutdown();
     }
 
@@ -2183,9 +2229,11 @@ mod tests {
         client.ibe_token("alice", &c.u).unwrap();
         server.revoke("alice");
         let _ = client.ibe_token("alice", &c.u);
+        let _ = client.ibe_token("ghost", &c.u);
         let stats = server.audit_stats("alice");
         assert_eq!(stats.served, 1);
         assert_eq!(stats.refused, 1);
+        assert_eq!(server.audit_stats("ghost").refused, 1);
         assert!(server.audit_bytes_out() > 0);
         server.shutdown();
     }
@@ -2209,7 +2257,7 @@ mod tests {
         let text = client.stats_text().unwrap();
         assert!(text.contains("sem_requests_served_total 5"));
         let snapshot = client.metrics().unwrap();
-        // Identical to the in-process view modulo the clock and the
+        // Identical to the server-side view modulo the clock and the
         // live lockdep counters (process-global, advanced by every
         // concurrently running test when the feature is on).
         let mut local = server.metrics();
@@ -2334,9 +2382,12 @@ mod tests {
         );
         let sig = gdh_user.finish_sign(curve, b"doc", half).unwrap();
         gdh::verify(curve, &pk, b"doc", &sig).unwrap();
-        // Transport counters: one envelope, three batched items.
+        // Transport counters: one envelope, three batched items; an
+        // empty batch never reaches the wire.
+        assert!(client.batch(&[]).unwrap().is_empty());
         let t = server.audit_transport();
         assert_eq!((t.single, t.batched_items, t.batches), (0, 3, 1));
+        assert_eq!(server.audit_stats("alice").served, 1);
         // A revoked identity refuses only its own item.
         server.revoke("alice");
         let replies = client
@@ -2459,6 +2510,13 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(5));
         assert_eq!(report.connections_closed, 1);
         assert!(report.handlers_joined >= 1);
+        // A client that outlives the daemon fails typed, not by panic.
+        assert_eq!(client.ibe_token("alice", &c.u), Err(Error::Transport));
+        let item = BatchItem::IbeToken {
+            id: "alice".into(),
+            u: c.u.clone(),
+        };
+        assert_eq!(client.batch(&[item]), Err(Error::Transport));
     }
 
     #[test]
@@ -2754,9 +2812,10 @@ mod tests {
     }
 
     /// Brownout shedding: with the queue depth between the watermark
-    /// and the cap, deferrable Stats-class work is shed (with a typed
-    /// retry-after hint in the overloaded body) while token-class
-    /// crypto work is still admitted.
+    /// and the cap, deferrable Stats- and Batch-class work is shed
+    /// (with a typed retry-after hint in the overloaded body, and every
+    /// item of the shed batch audited under its own identity) while
+    /// token-class crypto work is still admitted.
     #[test]
     fn brownout_sheds_stats_class_before_token_class() {
         let (pkg, server, mut rng) = setup_with(ServerConfig {
@@ -2790,27 +2849,40 @@ mod tests {
                 body: vec![],
             })
             .unwrap();
-        let token_id = pipe
+        let token = Request {
+            op: Op::IbeToken,
+            id: "alice".into(),
+            body: pkg.params().curve().point_to_bytes(&c.u),
+        };
+        let batch_id = pipe
             .submit(&Request {
-                op: Op::IbeToken,
-                id: "alice".into(),
-                body: pkg.params().curve().point_to_bytes(&c.u),
+                op: Op::Batch,
+                id: String::new(),
+                body: proto::encode_batch_items(&[
+                    token.clone(),
+                    Request {
+                        id: "carol".into(),
+                        ..token.clone()
+                    },
+                ]),
             })
             .unwrap();
-        let (mut saw_stats, mut saw_token) = (false, false);
-        for _ in 0..7 {
+        let token_id = pipe.submit(&token).unwrap();
+        let (mut saw_stats, mut saw_batch, mut saw_token) = (false, false, false);
+        for _ in 0..8 {
             match pipe.recv().unwrap() {
                 PipeReply::Reply(req_id, inner) => {
-                    if req_id == stats_id {
+                    if req_id == stats_id || req_id == batch_id {
                         assert_eq!(
                             inner.status,
                             Status::Overloaded,
-                            "Stats-class op must brown out above the watermark"
+                            "Stats- and Batch-class ops must brown out above the watermark"
                         );
                         let hint = proto::decode_retry_after(&inner.body)
                             .expect("shed replies carry a typed retry-after hint");
                         assert!((10..=100).contains(&hint), "hint {hint} ms out of band");
-                        saw_stats = true;
+                        saw_stats |= req_id == stats_id;
+                        saw_batch |= req_id == batch_id;
                     } else if req_id == token_id {
                         assert_eq!(
                             inner.status,
@@ -2826,7 +2898,10 @@ mod tests {
                 PipeReply::Plain(outer) => panic!("unexpected plain reply: {:?}", outer.status),
             }
         }
-        assert!(saw_stats && saw_token && sign_ids.is_empty());
+        assert!(saw_stats && saw_batch && saw_token && sign_ids.is_empty());
+        // Each item of the shed batch was refused under its identity.
+        assert_eq!(server.audit_stats("alice").refused, 1);
+        assert_eq!(server.audit_stats("carol").refused, 1);
         server.shutdown();
     }
 

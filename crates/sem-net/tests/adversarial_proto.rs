@@ -12,6 +12,18 @@ use sempair_net::proto::{
     Response, Status,
 };
 use sempair_net::store::{Journal, Record};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A journal path no other case or concurrently running test shares.
+fn unique_journal(tag: &str) -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "sempair-adv-{tag}-{}-{n}.journal",
+        std::process::id()
+    ))
+}
 
 fn sample_request(op_tag: u8, id: String, body: Vec<u8>) -> Request {
     let op = match op_tag % 3 {
@@ -141,12 +153,7 @@ proptest! {
         records in proptest::collection::vec("[a-z]{1,10}", 0..5),
         tail in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let path = std::env::temp_dir().join(format!(
-            "sempair-adv-journal-{}-{}-{}.journal",
-            std::process::id(),
-            records.len(),
-            tail.len(),
-        ));
+        let path = unique_journal("tail");
         let _ = std::fs::remove_file(&path);
         {
             let (mut journal, _) = Journal::open(&path).unwrap();

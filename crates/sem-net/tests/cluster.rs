@@ -23,6 +23,7 @@ use sempair_net::store::{Journal, Record};
 use sempair_net::tcp::{ClientConfig, ServerConfig};
 use sempair_pairing::CurveParams;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -32,6 +33,16 @@ fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sempair-cluster-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A journal path no other property case shares.
+fn unique_journal(tag: &str) -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "sempair-prop-{tag}-{}-{n}.journal",
+        std::process::id()
+    ))
 }
 
 /// Short deadlines so crashed replicas cost milliseconds, not the
@@ -361,10 +372,8 @@ proptest! {
     fn journal_replays_arbitrary_histories(
         ops in proptest::collection::vec(
             (0u8..3, "[a-z]{1,8}", any::<u64>()), 0..40),
-        case in 0u32..u32::MAX,
     ) {
-        let path = std::env::temp_dir().join(format!(
-            "sempair-prop-journal-{}-{case}.journal", std::process::id()));
+        let path = unique_journal("history");
         let _ = std::fs::remove_file(&path);
         let (mut journal, fresh) = Journal::open(&path).unwrap();
         prop_assert_eq!(fresh.records, 0);
@@ -397,10 +406,8 @@ proptest! {
         // id), so a 1–9 byte cut always tears the final record
         // mid-write rather than landing on a record boundary.
         cut_back in 1u64..10,
-        case in 0u32..u32::MAX,
     ) {
-        let path = std::env::temp_dir().join(format!(
-            "sempair-prop-torn-{}-{case}.journal", std::process::id()));
+        let path = unique_journal("torn");
         let _ = std::fs::remove_file(&path);
         let (mut journal, _) = Journal::open(&path).unwrap();
         for id in &ids {

@@ -12,7 +12,7 @@
 use rand::SeedableRng;
 use sempair::core::bf_ibe::Pkg;
 use sempair::core::gdh::{self, GdhSem, ThresholdGdh};
-use sempair::net::server::SemServer;
+use sempair::net::tcp::{TcpSemClient, TcpSemServer};
 use sempair::pairing::CurveParams;
 
 fn main() {
@@ -56,20 +56,24 @@ fn main() {
     gdh::verify(&curve, board.public_key(), resolution, &board_sig).expect("board sig verifies");
     println!("3-of-5 board signature assembled and verified");
 
-    println!("\n== The same service, fronted by the threaded SEM server ==");
+    println!("\n== The same service, fronted by the SEM daemon over TCP ==");
     let pkg = Pkg::setup(&mut rng, curve.clone());
-    let server = SemServer::spawn(pkg.params().clone(), 4);
+    let server = TcpSemServer::bind("127.0.0.1:0", pkg.params().clone()).expect("bind SEM");
     let (frank, frank_sem, frank_pk) =
         gdh::mediated_keygen(&mut rng, pkg.params().curve(), "frank");
     server.install_gdh(frank_sem);
-    let client = server.client();
+    let mut client =
+        TcpSemClient::connect(server.local_addr(), pkg.params().clone()).expect("connect");
     let doc = b"expense report #99";
     let half = client.gdh_half_sign("frank", doc).expect("served");
     let sig = frank
         .finish_sign(pkg.params().curve(), doc, &half)
         .expect("combine");
     gdh::verify(pkg.params().curve(), &frank_pk, doc, &sig).expect("verifies");
-    println!("token served by a 4-worker SEM server and verified");
+    println!(
+        "half-signature served by the SEM daemon at {} and verified",
+        server.local_addr()
+    );
     server.shutdown();
 
     println!("\nsigning_service completed successfully");

@@ -28,6 +28,22 @@ grep -q '"R5-lock"' AUDIT_report.json \
 echo "== tier-1: cargo build --release"
 cargo build --release
 
+# Every test binary must register each test name once. A test harness
+# macro that emits its own #[test] on top of the written one registers
+# every property twice, and the two copies race on shared temp paths.
+echo "== test registration: no test binary lists a name twice"
+dup_found=0
+while IFS= read -r bin; do
+  dups="$("$bin" --list --format terse | { grep ': test$' || true; } | sort | uniq -d)"
+  if [ -n "$dups" ]; then
+    echo "duplicate test names in $bin:" >&2
+    echo "$dups" >&2
+    dup_found=1
+  fi
+done < <(cargo test --workspace --no-run --message-format=json 2>/dev/null \
+  | grep '"profile":{[^}]*"test":true}' | grep -o '"executable":"[^"]*"' | sed 's/^"executable":"//; s/"$//')
+[ "$dup_found" = 0 ] || exit 1
+
 echo "== tier-1: cargo test -q (workspace minus network crate)"
 cargo test -q --workspace --exclude sempair-net
 
@@ -55,7 +71,7 @@ grep -q '^sem_cache_hits_total{cache="half_key"}' "$serving_log" \
   || { echo "serving smoke exposed no sem_cache_* counters over the stats op" >&2; exit 1; }
 rm -f "$serving_log"
 
-# Scenario suite smoke (sempair-bench-scenarios/1): the four scripted
+# Scenario suite smoke (sempair-bench-scenarios/2): the four scripted
 # chaos scenarios (revocation storm, incremental epoch rollover under
 # load, replica kill/rejoin, flaky mobile clients) graded against
 # their SLO specs. Timing margins are recorded; the runner itself
@@ -64,8 +80,16 @@ rm -f "$serving_log"
 # not load flake. The schema assertion catches artifact regressions.
 echo "== scenario suite smoke (writes BENCH_scenarios.json)"
 timeout --kill-after=10s 300s cargo run --release -q -p sempair-bench --bin scenario_bench -- --smoke
-grep -q '"schema": "sempair-bench-scenarios/1"' BENCH_scenarios.json \
-  || { echo "BENCH_scenarios.json is not schema sempair-bench-scenarios/1" >&2; exit 1; }
+grep -q '"schema": "sempair-bench-scenarios/2"' BENCH_scenarios.json \
+  || { echo "BENCH_scenarios.json is not schema sempair-bench-scenarios/2" >&2; exit 1; }
+
+# Journal crash-consistency matrix: every truncation offset and every
+# single-bit flip of a journal holding one record of each kind must
+# replay a prefix of what was written or refuse with the file untouched
+# (a mid-log bit flip must never un-revoke anyone). Named on its own so
+# a regression is reported as a journal bug, not a generic failure.
+echo "== journal crash-consistency matrix"
+cargo test -q -p sempair-net --lib store::
 
 # The bounded-observability suite soaks the audit ring past 100k
 # records and pulls metrics over live sockets; run it first and alone
@@ -102,7 +126,7 @@ timeout --kill-after=10s 480s cargo test -q -p sempair-net --features lockdep
 echo "== lockdep: scenario suite smoke with runtime verification"
 timeout --kill-after=10s 300s cargo run --release -q -p sempair-bench --features lockdep \
   --bin scenario_bench -- --smoke
-grep -q '"schema": "sempair-bench-scenarios/1"' BENCH_scenarios.json \
-  || { echo "BENCH_scenarios.json is not schema sempair-bench-scenarios/1" >&2; exit 1; }
+grep -q '"schema": "sempair-bench-scenarios/2"' BENCH_scenarios.json \
+  || { echo "BENCH_scenarios.json is not schema sempair-bench-scenarios/2" >&2; exit 1; }
 
 echo "ALL CHECKS PASSED"

@@ -413,8 +413,21 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 }
 
-/// Declares property tests: each `fn name(arg in strategy, ...) { .. }`
-/// becomes a `#[test]` that runs the body over random inputs.
+/// Declares property tests: each `#[test] fn name(arg in strategy, ...)
+/// { .. }` runs its body over random inputs.
+///
+/// As upstream, the `#[test]` is written by the caller and passed
+/// through; the macro adds none. A property without one is a compile
+/// error rather than a function that silently never runs:
+///
+/// ```compile_fail
+/// use proptest::prelude::*;
+/// proptest! {
+///     fn never_registered(x in 0u8..4) {
+///         prop_assert!(x < 4);
+///     }
+/// }
+/// ```
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -430,11 +443,38 @@ macro_rules! proptest {
 #[macro_export]
 macro_rules! __proptest_impl {
     ($config:expr; $(
-        $(#[$meta:meta])*
+        $(#[$($attr:tt)*])*
         fn $name:ident($($arg:pat_param in $strategy:expr),+ $(,)?) $body:block
     )*) => {$(
-        $(#[$meta])*
-        #[test]
+        $crate::__proptest_fn!(
+            @scan [$config] [$name] [$($arg in $strategy),+] $body; []
+            $(#[$($attr)*])*
+        );
+    )*};
+}
+
+/// Walks one property's attributes looking for the written `#[test]`,
+/// then emits the function with its attributes unchanged.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __proptest_fn {
+    (@scan $config:tt $name:tt $args:tt $body:block; [$($seen:tt)*]
+        #[test] $($rest:tt)*) => {
+        $crate::__proptest_fn!(@emit $config $name $args $body; $($seen)* #[test] $($rest)*);
+    };
+    (@scan $config:tt $name:tt $args:tt $body:block; [$($seen:tt)*]
+        #[$($attr:tt)*] $($rest:tt)*) => {
+        $crate::__proptest_fn!(@scan $config $name $args $body; [$($seen)* #[$($attr)*]] $($rest)*);
+    };
+    (@scan $config:tt [$name:ident] $args:tt $body:block; [$($seen:tt)*]) => {
+        compile_error!(concat!(
+            "proptest! fn `", stringify!($name),
+            "` has no #[test] attribute, so it would never run"
+        ));
+    };
+    (@emit [$config:expr] [$name:ident] [$($arg:pat_param in $strategy:expr),+] $body:block;
+        $($attrs:tt)*) => {
+        $($attrs)*
         fn $name() {
             let config = $config;
             let mut rng = $crate::test_runner::TestRng::deterministic(stringify!($name));
@@ -467,7 +507,7 @@ macro_rules! __proptest_impl {
                 }
             }
         }
-    )*};
+    };
 }
 
 /// Asserts a condition inside a property body.
@@ -538,26 +578,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        #[test]
         fn addition_commutes(a in any::<u32>(), b in any::<u32>()) {
             prop_assert_eq!(u64::from(a) + u64::from(b), u64::from(b) + u64::from(a));
         }
 
+        #[test]
         fn vec_lengths_respect_range(
             v in crate::collection::vec(any::<u8>(), 3..7),
         ) {
             prop_assert!(v.len() >= 3 && v.len() < 7);
         }
 
+        #[test]
         fn mapped_strategy_applies(x in (0u64..100).prop_map(|v| v * 2)) {
             prop_assert!(x % 2 == 0 && x < 200);
             prop_assume!(x != u64::MAX); // exercise the reject path
         }
 
+        #[test]
         fn dependent_ranges(n in 1usize..16, k in 0usize..16) {
             prop_assert!(n >= 1);
             prop_assert!(k < 16);
         }
 
+        #[test]
         fn regex_pattern_strings(id in "[a-z]{1,16}@[a-z]{1,10}\\.com") {
             let (local, rest) = id.split_once('@').expect("has @");
             prop_assert!((1..=16).contains(&local.len()));

@@ -976,10 +976,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 /// `scenario [NAME]`: runs one (or all four) scripted chaos scenarios
-/// against in-process servers and prints the per-SLO margins. `--seed`
-/// replays a specific schedule, `--rollover-chunk` sizes the
-/// incremental re-key chunks, `--brownout-watermark` sets the shed
-/// threshold handed to the scenario servers.
+/// against SEM daemons started in this process and prints the per-SLO
+/// margins. `--seed` replays a specific schedule, `--rollover-chunk`
+/// sizes the incremental re-key chunks, `--brownout-watermark` sets the
+/// shed threshold handed to the scenario servers.
 fn cmd_scenario(args: &Args) -> Result<(), String> {
     use sempair::net::scenario::{run_all, run_scenario, ScenarioConfig, SCENARIOS};
     apply_lockdep(args);

@@ -17,7 +17,7 @@ pub use sempair_core as core;
 pub use sempair_hash as hash;
 /// RSA-OAEP / mediated RSA / IB-mRSA baseline.
 pub use sempair_mrsa as mrsa;
-/// Multi-threaded SEM deployment simulation.
+/// The SEM as a TCP daemon, its clients, and the deployment lifecycle.
 pub use sempair_net as net;
 /// Supersingular-curve groups and the Tate pairing.
 pub use sempair_pairing as pairing;
@@ -34,7 +34,6 @@ pub mod prelude {
     pub use sempair_core::mediated::{DecryptToken, Sem, SemKey, UserKey};
     pub use sempair_core::threshold::{DecryptionShare, IdKeyShare, ThresholdPkg, ThresholdSystem};
     pub use sempair_core::Error;
-    pub use sempair_net::server::{SemClient, SemServer};
     pub use sempair_net::tcp::{TcpSemClient, TcpSemServer};
     pub use sempair_pairing::{CurveParams, G1Affine, Gt};
 }

@@ -1,14 +1,13 @@
 //! Cross-crate end-to-end flows: the deployment stack from PKG to
-//! threaded SEM server to wire formats.
+//! the TCP SEM daemon to wire formats.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sempair::core::bf_ibe::{FullCiphertext, Pkg};
 use sempair::core::gdh;
 use sempair::core::threshold::ThresholdPkg;
-use sempair::net::latency::{mediated_op_time, LinkModel};
 use sempair::net::revocation::ValidityPeriodPkg;
-use sempair::net::server::{drive_throughput, SemServer};
+use sempair::net::tcp::{TcpSemClient, TcpSemServer};
 use sempair::net::wire;
 use sempair::pairing::CurveParams;
 use std::time::Duration;
@@ -17,13 +16,20 @@ fn curve() -> CurveParams {
     CurveParams::fast_insecure()
 }
 
-/// Mail travels PKG → sender → SEM server → recipient, entirely through
+/// A SEM daemon on a loopback port plus a client connected to it.
+fn daemon(pkg: &Pkg) -> (TcpSemServer, TcpSemClient) {
+    let server = TcpSemServer::bind("127.0.0.1:0", pkg.params().clone()).unwrap();
+    let client = TcpSemClient::connect(server.local_addr(), pkg.params().clone()).unwrap();
+    (server, client)
+}
+
+/// Mail travels PKG → sender → SEM daemon → recipient, entirely through
 /// serialized wire formats (no shared in-memory structures).
 #[test]
 fn full_stack_mail_through_wire_formats() {
     let mut rng = StdRng::seed_from_u64(2001);
     let pkg = Pkg::setup(&mut rng, curve());
-    let server = SemServer::spawn(pkg.params().clone(), 2);
+    let (server, mut client) = daemon(&pkg);
     let (bob, bob_sem) = pkg.extract_split(&mut rng, "bob");
     server.install_ibe(bob_sem);
 
@@ -37,7 +43,6 @@ fn full_stack_mail_through_wire_formats() {
     // Recipient side: parse, request token, decrypt.
     let parsed = FullCiphertext::from_bytes(pkg.params(), &wire_bytes).unwrap();
     assert_eq!(parsed, c);
-    let client = server.client();
     let token = client.ibe_token("bob", &parsed.u).unwrap();
     assert_eq!(
         bob.finish_decrypt(pkg.params(), &parsed, &token).unwrap(),
@@ -46,13 +51,13 @@ fn full_stack_mail_through_wire_formats() {
     server.shutdown();
 }
 
-/// Many identities through one server; revocation of one leaves the
+/// Many identities through one daemon; revocation of one leaves the
 /// rest untouched.
 #[test]
 fn multi_user_server_with_selective_revocation() {
     let mut rng = StdRng::seed_from_u64(2002);
     let pkg = Pkg::setup(&mut rng, curve());
-    let server = SemServer::spawn(pkg.params().clone(), 4);
+    let (server, mut client) = daemon(&pkg);
     let users: Vec<_> = (0..6)
         .map(|i| {
             let id = format!("user{i}@example.com");
@@ -64,7 +69,6 @@ fn multi_user_server_with_selective_revocation() {
 
     server.revoke("user3@example.com");
 
-    let client = server.client();
     for (id, key) in &users {
         let c = pkg
             .params()
@@ -83,19 +87,29 @@ fn multi_user_server_with_selective_revocation() {
     server.shutdown();
 }
 
-/// Throughput scales (or at least does not collapse) with workers, and
-/// every request is actually served.
+/// Concurrent connections all get served: 4 clients × 16 tokens
+/// each, every one of them audited as served.
 #[test]
 fn throughput_driver_serves_all_requests() {
     let mut rng = StdRng::seed_from_u64(2003);
     let pkg = Pkg::setup(&mut rng, curve());
-    let server = SemServer::spawn(pkg.params().clone(), 4);
+    let (server, _) = daemon(&pkg);
     let (_, sem_half) = pkg.extract_split(&mut rng, "load");
     server.install_ibe(sem_half);
     let c = pkg.params().encrypt_full(&mut rng, "load", b"x").unwrap();
-    let result = drive_throughput(&server, "load", &c.u, 4, 64).unwrap();
-    assert_eq!(result.requests, 64);
-    assert!(result.ops_per_sec() > 0.0);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let mut client =
+                TcpSemClient::connect(server.local_addr(), pkg.params().clone()).unwrap();
+            let u = &c.u;
+            scope.spawn(move || {
+                for _ in 0..16 {
+                    client.ibe_token("load", u).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(server.audit_stats("load").served, 64);
     server.shutdown();
 }
 
@@ -140,8 +154,8 @@ fn revocation_latency_and_cost_shapes() {
     }
 }
 
-/// The E3 bandwidth claims hold on the paper-scale parameters, and the
-/// latency model turns them into end-to-end time differences.
+/// The E3 bandwidth claims hold on the paper-scale parameters: the GDH
+/// exchange is never larger, so never slower on the same link.
 #[test]
 fn bandwidth_and_latency_model_consistency() {
     let curve = CurveParams::paper_default();
@@ -151,40 +165,22 @@ fn bandwidth_and_latency_model_consistency() {
     // Orderings the paper states.
     assert!(gdh.response < rsa.response, "GDH token shorter than mRSA");
     assert_eq!(ibe.response, 1024, "IBE token ≈ 1000 bits at 512-bit p");
-
-    // On a thin 2003 link the byte counts matter.
-    let link = LinkModel::dsl_2003();
-    let t_gdh = mediated_op_time(
-        &link,
-        gdh.request,
-        gdh.response,
-        Duration::from_millis(5),
-        Duration::from_millis(5),
-        Duration::from_millis(1),
+    assert!(
+        gdh.request <= rsa.request,
+        "GDH request no larger than mRSA"
     );
-    let t_rsa = mediated_op_time(
-        &link,
-        rsa.request,
-        rsa.response,
-        Duration::from_millis(5),
-        Duration::from_millis(5),
-        Duration::from_millis(1),
-    );
-    // Same compute assumed: the GDH exchange is never slower.
-    assert!(t_gdh <= t_rsa);
 }
 
-/// GDH signatures produced through the server verify under plain BLS —
+/// GDH signatures produced through the daemon verify under plain BLS —
 /// "transparent to the verifier".
 #[test]
 fn server_signed_documents_verify_offline() {
     let mut rng = StdRng::seed_from_u64(2006);
     let pkg = Pkg::setup(&mut rng, curve());
     let curve = pkg.params().curve().clone();
-    let server = SemServer::spawn(pkg.params().clone(), 2);
+    let (server, mut client) = daemon(&pkg);
     let (user, sem_half, pk) = gdh::mediated_keygen(&mut rng, &curve, "signer");
     server.install_gdh(sem_half);
-    let client = server.client();
 
     let docs: Vec<Vec<u8>> = (0..4).map(|i| format!("doc {i}").into_bytes()).collect();
     let mut sigs = Vec::new();
