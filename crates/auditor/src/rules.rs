@@ -48,6 +48,7 @@ pub const SECRET_TYPES: &[&str] = &[
     "ElGamalSemKey",
     "ElGamalKeyShare",
     "SecretLimbs",
+    "SecretDigits",
     "StdRng",
 ];
 

@@ -1,5 +1,6 @@
-//! Pairing-path microbenchmarks: fixed-width backend vs the bigint
-//! reference, on the paper's 512-bit parameters.
+//! Pairing-path microbenchmarks on the paper's 512-bit parameters:
+//! the fixed-width backend against the bigint reference, and the
+//! kernels one pairing, subgroup check and hash-to-point are made of.
 //!
 //! Run with `cargo run --release -p sempair-bench --bin pairing_bench`.
 //! Prints a markdown summary to stdout and writes `BENCH_pairing.json`
@@ -7,7 +8,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "sempair-bench-pairing/1",
+//!   "schema": "sempair-bench-pairing/2",
 //!   "params": "paper_512_160",
 //!   "results": [{"name": "...", "median_us": 0.0, "min_us": 0.0, "iters": 0}],
 //!   "speedups": {"pairing_single": 0.0, "gdh_batch_verify_32": 0.0}
@@ -16,13 +17,21 @@
 //!
 //! `results` names are append-only; `speedups` keys are the two
 //! acceptance targets (single pairing ≥ 5×, 32-signature GDH batch
-//! ≥ 8×).
+//! ≥ 8×). Schema `/2` adds the kernel rows, all on the fixed backend:
+//! `fp_mul` and `fp_inv` (per operation), `scalar_mul_160` (`k·P` for
+//! a random `k < r`), `cofactor_mul` (the ≈ 352-bit clearing inside
+//! `hash_to_g1`), `is_in_group`, `hash_to_g1`, and one pairing split
+//! into `miller` (projective loop) and `final_exp`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sempair_bench::report::{markdown_table, time, Timing};
 use sempair_core::gdh;
+use sempair_field::miller;
+use sempair_field::p512::{PAPER_CTX, PAPER_P, PAPER_R};
+use sempair_field::FpW;
 use sempair_pairing::{CurveParams, G1Affine};
+use std::time::Duration;
 
 struct Entry {
     name: &'static str,
@@ -32,6 +41,32 @@ struct Entry {
 fn record(results: &mut Vec<Entry>, name: &'static str, timing: Timing) -> Timing {
     results.push(Entry { name, timing });
     timing
+}
+
+/// Records a timing of `reps` back-to-back operations as per-operation
+/// figures.
+fn record_per_op(results: &mut Vec<Entry>, name: &'static str, timing: Timing, reps: u32) {
+    let per_op = |d: Duration| d / reps;
+    let timing = Timing {
+        median: per_op(timing.median),
+        min: per_op(timing.min),
+        iters: timing.iters,
+    };
+    record(results, name, timing);
+}
+
+/// A point's affine coordinates as fixed-width Montgomery elements.
+fn fixed_coords(prm: &CurveParams, point: &G1Affine) -> (FpW<8>, FpW<8>) {
+    let bytes = prm.point_to_uncompressed(point);
+    let coord = |half: &[u8]| {
+        let mut limbs = [0u64; 8];
+        for (i, limb) in limbs.iter_mut().enumerate() {
+            let at = (7 - i) * 8;
+            *limb = u64::from_be_bytes(half[at..at + 8].try_into().expect("8-byte limb"));
+        }
+        PAPER_CTX.to_mont(&limbs)
+    };
+    (coord(&bytes[..64]), coord(&bytes[64..]))
 }
 
 fn main() {
@@ -140,6 +175,70 @@ fn main() {
         }),
     );
 
+    // --- kernels (fixed backend) -------------------------------------------
+    assert!(
+        fast.modulus().limbs() == PAPER_P && fast.order().limbs() == PAPER_R,
+        "paper params must match the field crate's constant context"
+    );
+    let f = PAPER_CTX;
+    let (px, py) = fixed_coords(&fast, &p);
+    let (qx, qy) = fixed_coords(&fast, &q);
+    const FIELD_REPS: u32 = 1000;
+    let fp_mul = time(3, 15, || {
+        let mut x = px;
+        for _ in 0..FIELD_REPS {
+            x = f.mul(&x, &qy);
+        }
+        x
+    });
+    record_per_op(&mut results, "fp_mul", fp_mul, FIELD_REPS);
+    const INV_REPS: u32 = 20;
+    let fp_inv = time(3, 15, || {
+        let mut x = px;
+        for _ in 0..INV_REPS {
+            x = f.inv(&x).expect("nonzero");
+        }
+        x
+    });
+    record_per_op(&mut results, "fp_inv", fp_inv, INV_REPS);
+    let k = fast.random_scalar(&mut rng);
+    record(
+        &mut results,
+        "scalar_mul_160",
+        time(3, 15, || fast.mul(&k, &p)),
+    );
+    let candidate = fast.hash_to_g1_candidate(b"pairing_bench", b"cofactor");
+    record(
+        &mut results,
+        "cofactor_mul",
+        time(3, 15, || fast.mul(fast.cofactor(), &candidate)),
+    );
+    record(
+        &mut results,
+        "is_in_group",
+        time(3, 15, || fast.is_in_group(&p)),
+    );
+    record(
+        &mut results,
+        "hash_to_g1",
+        time(3, 15, || {
+            fast.hash_to_g1(b"pairing_bench", b"alice@example.com")
+        }),
+    );
+    let m = miller::miller_projective(&f, &PAPER_R, (&px, &py), (&qx, &qy));
+    record(
+        &mut results,
+        "miller",
+        time(3, 15, || {
+            miller::miller_projective(&f, &PAPER_R, (&px, &py), (&qx, &qy))
+        }),
+    );
+    record(
+        &mut results,
+        "final_exp",
+        time(3, 15, || miller::final_exp(&f, fast.cofactor().limbs(), &m)),
+    );
+
     // --- summary ---------------------------------------------------------
     // The issue's single-pairing target is stated against the recorded
     // seed baseline (EXPERIMENTS.md E5: 5.3 ms per pairing at 512-bit
@@ -161,8 +260,8 @@ fn main() {
         .map(|e| {
             vec![
                 e.name.to_string(),
-                format!("{:.1}", e.timing.micros()),
-                format!("{:.1}", e.timing.min.as_secs_f64() * 1e6),
+                format!("{:.3}", e.timing.micros()),
+                format!("{:.3}", e.timing.min.as_secs_f64() * 1e6),
                 e.timing.iters.to_string(),
             ]
         })
@@ -189,11 +288,11 @@ fn main() {
     );
 
     // --- JSON artifact ---------------------------------------------------
-    let mut json = String::from("{\n  \"schema\": \"sempair-bench-pairing/1\",\n");
+    let mut json = String::from("{\n  \"schema\": \"sempair-bench-pairing/2\",\n");
     json.push_str("  \"params\": \"paper_512_160\",\n  \"results\": [\n");
     for (i, e) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_us\": {:.2}, \"min_us\": {:.2}, \"iters\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"median_us\": {:.3}, \"min_us\": {:.3}, \"iters\": {}}}{}\n",
             e.name,
             e.timing.micros(),
             e.timing.min.as_secs_f64() * 1e6,

@@ -1327,6 +1327,38 @@ mod tests {
         for (i, ((m, s), _)) in entries.iter().zip(&msgs).enumerate() {
             assert_eq!(verify(&curve, &pk, m, s).is_ok(), ![0usize, 3].contains(&i));
         }
+
+        // The subgroup check itself, on both backends: `P + T₂` and raw
+        // (uncleared) hash candidates are on the curve but off the
+        // order-r subgroup; the check must agree with an explicit
+        // `r·P = O` and decoding must refuse their encodings.
+        let mut reference = curve.clone();
+        reference.force_bigint_backend();
+        let off: Vec<G1Affine> = [sigs[0].0.clone(), sigs[3].0.clone()]
+            .into_iter()
+            .chain(msgs.iter().map(|m| curve.hash_to_g1_candidate(MSG_TAG, m)))
+            .collect();
+        let on: Vec<G1Affine> = msgs.iter().map(|m| curve.hash_to_g1(MSG_TAG, m)).collect();
+        for prm in [&curve, &reference] {
+            for (point, in_group) in off
+                .iter()
+                .map(|p| (p, false))
+                .chain(on.iter().map(|p| (p, true)))
+            {
+                assert!(prm.is_on_curve(point));
+                assert_eq!(prm.is_in_group(point), in_group);
+                assert_eq!(
+                    prm.is_in_group(point),
+                    prm.mul(prm.order(), point).is_infinity()
+                );
+                let decoded = prm.point_from_bytes(&prm.point_to_bytes(point));
+                if in_group {
+                    assert_eq!(decoded.as_ref(), Ok(point));
+                } else {
+                    assert_eq!(decoded, Err(sempair_pairing::DecodeError::NotOnCurve));
+                }
+            }
+        }
     }
 
     #[test]

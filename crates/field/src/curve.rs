@@ -1,17 +1,17 @@
 //! Generic group-arithmetic kernels for `E : y² = x³ + x`.
 //!
-//! These are the *same* formulas the pairing crate has always used
-//! (Jacobian double/add with the `a = 1` curve coefficient, 4-bit
-//! windowed scalar multiplication, Pippenger buckets) — written once
-//! against [`FieldOps`] so the bigint reference backend and the
-//! fixed-width backend execute identical arithmetic and agree
-//! limb-for-limb.
+//! Jacobian double/add with the `a = 1` curve coefficient, width-5
+//! w-NAF scalar multiplication over a batch-normalised table of odd
+//! multiples, and Pippenger buckets — written once against
+//! [`FieldOps`] so the bigint reference backend and the fixed-width
+//! backend execute identical arithmetic and agree limb-for-limb.
 //!
 //! Points use a backend-neutral representation: affine points are
 //! `Option<(x, y)>` (`None` = infinity), Jacobian points are
 //! [`JPoint`] with infinity encoded as `Z = 0`.
 
 use crate::limb::{bit, bit_len};
+use crate::secret::SecretDigits;
 use crate::traits::FieldOps;
 
 /// An affine point, `None` for the point at infinity.
@@ -208,42 +208,186 @@ pub fn is_on_curve<F: FieldOps>(f: &F, x: &F::Elem, y: &F::Elem) -> bool {
     f.equals(&lhs, &rhs)
 }
 
-/// Scalar multiplication `k·P` with a 4-bit fixed window over Jacobian
-/// coordinates; `k` is a little-endian limb scalar.
-pub fn scalar_mul<F: FieldOps>(f: &F, k: &[u64], p: AffineRef<'_, F::Elem>) -> Affine<F::Elem> {
+/// Converts Jacobian points to affine with one field inversion
+/// (Montgomery's trick: invert the product of every `Z`, then peel
+/// each inverse off with two multiplications). Points at infinity
+/// (`Z = 0`) are left out of the product and map to `None`.
+fn batch_to_affine<F: FieldOps, const M: usize>(
+    f: &F,
+    points: &[JPoint<F::Elem>; M],
+) -> [Affine<F::Elem>; M] {
+    // before[i] = product of the nonzero Z's of points[..i].
+    let mut before: [F::Elem; M] = core::array::from_fn(|_| f.one());
+    let mut acc = f.one();
+    for (pt, slot) in points.iter().zip(before.iter_mut()) {
+        *slot = acc.clone();
+        if !jp_is_infinity(f, pt) {
+            acc = f.mul(&acc, &pt.z);
+        }
+    }
+    let mut inv = f.inv(&acc).expect("product of nonzero Z");
+    let mut out: [Affine<F::Elem>; M] = core::array::from_fn(|_| None);
+    for ((pt, before), slot) in points.iter().zip(&before).zip(out.iter_mut()).rev() {
+        if jp_is_infinity(f, pt) {
+            continue;
+        }
+        // inv = (Z₀⋯Zᵢ)⁻¹ over the nonzero Z's, so Zᵢ⁻¹ = inv·(Z₀⋯Zᵢ₋₁).
+        let z_inv = f.mul(&inv, before);
+        inv = f.mul(&inv, &pt.z);
+        let z_inv2 = f.sqr(&z_inv);
+        let z_inv3 = f.mul(&z_inv2, &z_inv);
+        *slot = Some((f.mul(&pt.x, &z_inv2), f.mul(&pt.y, &z_inv3)));
+    }
+    out
+}
+
+/// Width of the signed-digit recoding: every nonzero digit is odd and
+/// below `2^{W-1}` in absolute value, and nonzero digits are at least
+/// `W` positions apart.
+const WNAF_WIDTH: usize = 5;
+/// Table size: the odd multiples `P, 3P, …, 15P`.
+const WNAF_TABLE: usize = 1 << (WNAF_WIDTH - 2);
+/// Limbs recoded at a time. Every scalar up to the paper's 512-bit
+/// modulus is one chunk; longer ones (bigint-only moduli) are
+/// evaluated chunk by chunk, Horner-style.
+const CHUNK_LIMBS: usize = 8;
+/// Digit positions of one chunk: its NAF is at most one digit longer
+/// than its bit length.
+const CHUNK_DIGITS: usize = 64 * CHUNK_LIMBS + 1;
+
+/// The `WNAF_WIDTH` bits of `k` starting at bit `pos` (zero beyond the
+/// end).
+fn window_at(k: &[u64], pos: usize) -> u32 {
+    let (limb, shift) = (pos / 64, pos % 64);
+    let lo = k.get(limb).map_or(0, |l| l >> shift);
+    let hi = if shift > 64 - WNAF_WIDTH {
+        k.get(limb + 1).map_or(0, |l| l << (64 - shift))
+    } else {
+        0
+    };
+    ((lo | hi) & ((1 << WNAF_WIDTH) - 1)) as u32
+}
+
+/// Writes the width-5 NAF of `k` (at most `CHUNK_LIMBS` limbs) into
+/// `digits`, least significant position first, zeroing the rest.
+///
+/// Reads `k` window by window with a carry instead of subtracting
+/// digits from a copy: an odd window `w ≥ 16` becomes the digit
+/// `w − 32` and carries one into the next position.
+fn wnaf_recode(k: &[u64], digits: &mut [i8; CHUNK_DIGITS]) {
+    debug_assert!(k.len() <= CHUNK_LIMBS);
+    digits.fill(0);
     let bits = bit_len(k);
-    if bits == 0 || p.is_none() {
-        return None;
+    let mut carry = 0u32;
+    let mut pos = 0;
+    // A pending carry implies bit `pos + W − 1` was set, so the last
+    // digit lands at position `bits` at most.
+    while pos <= bits {
+        let window = carry + window_at(k, pos);
+        if window & 1 == 0 {
+            pos += 1;
+            continue;
+        }
+        if window < 1 << (WNAF_WIDTH - 1) {
+            digits[pos] = window as i8;
+            carry = 0;
+        } else {
+            digits[pos] = window as i8 - (1 << WNAF_WIDTH) as i8;
+            carry = 1;
+        }
+        pos += WNAF_WIDTH;
     }
-    // Precompute 1P..15P in affine (cheap additions, amortized).
-    let mut table: Vec<Affine<F::Elem>> = Vec::with_capacity(16);
-    table.push(None);
-    table.push(p.map(|(x, y)| (x.clone(), y.clone())));
-    for i in 2..16 {
-        let prev = table[i - 1].as_ref().map(|(x, y)| (x, y));
-        table.push(affine_add(f, prev, p));
+}
+
+/// The odd multiples `P, 3P, …, 15P` in affine coordinates: one
+/// doubling and seven additions in Jacobian coordinates, normalised
+/// together by [`batch_to_affine`] (one inversion for the table).
+fn odd_multiples<F: FieldOps>(
+    f: &F,
+    (x, y): (&F::Elem, &F::Elem),
+) -> [Affine<F::Elem>; WNAF_TABLE] {
+    let p = JPoint {
+        x: x.clone(),
+        y: y.clone(),
+        z: f.one(),
+    };
+    let twice = jp_double(f, &p);
+    let mut jac: [JPoint<F::Elem>; WNAF_TABLE] = core::array::from_fn(|_| jp_infinity(f));
+    jac[0] = p;
+    for i in 1..WNAF_TABLE {
+        jac[i] = jp_add(f, &jac[i - 1], &twice);
     }
-    let top_window = bits.div_ceil(4) * 4;
+    batch_to_affine(f, &jac)
+}
+
+/// `acc + d·P` for a w-NAF digit `d`, reading `|d|·P` from the table
+/// and negating it for negative digits.
+fn add_digit<F: FieldOps>(
+    f: &F,
+    acc: JPoint<F::Elem>,
+    table: &[Affine<F::Elem>; WNAF_TABLE],
+    d: i8,
+) -> JPoint<F::Elem> {
+    if d == 0 {
+        return acc;
+    }
+    let Some((x, y)) = &table[usize::from(d.unsigned_abs() / 2)] else {
+        return acc;
+    };
+    if d > 0 {
+        jp_add_affine(f, &acc, Some((x, y)))
+    } else {
+        jp_add_affine(f, &acc, Some((x, &f.neg(y))))
+    }
+}
+
+/// `k·P` left in Jacobian coordinates — the body shared by
+/// [`scalar_mul`] and [`scalar_mul_is_identity`].
+fn wnaf_mul<F: FieldOps>(f: &F, k: &[u64], p: AffineRef<'_, F::Elem>) -> JPoint<F::Elem> {
+    let Some(base) = p else {
+        return jp_infinity(f);
+    };
+    if bit_len(k) == 0 {
+        return jp_infinity(f);
+    }
+    let table = odd_multiples(f, base);
+    // The digits re-encode the (possibly secret) scalar; the buffer is
+    // wiped when it goes out of scope.
+    let mut digits = SecretDigits::<CHUNK_DIGITS>::new();
     let mut acc = jp_infinity(f);
-    let mut w = top_window;
-    while w >= 4 {
-        w -= 4;
-        acc = jp_double(f, &acc);
-        acc = jp_double(f, &acc);
-        acc = jp_double(f, &acc);
-        acc = jp_double(f, &acc);
-        let mut digit = 0usize;
-        for b in 0..4 {
-            if bit(k, w + b) {
-                digit |= 1 << b;
-            }
-        }
-        if digit != 0 {
-            let entry = table[digit].as_ref().map(|(x, y)| (x, y));
-            acc = jp_add_affine(f, &acc, entry);
+    for chunk in k.chunks(CHUNK_LIMBS).rev() {
+        // acc ← 2^{64·|chunk|}·acc + chunk·P: the top digit is added
+        // before the first doubling, every lower one after its own.
+        wnaf_recode(chunk, digits.digits_mut());
+        let (low, high) = digits.digits().split_at(64 * chunk.len());
+        acc = add_digit(f, acc, &table, high[0]);
+        for &d in low.iter().rev() {
+            acc = jp_double(f, &acc);
+            acc = add_digit(f, acc, &table, d);
         }
     }
-    jp_to_affine(f, &acc)
+    acc
+}
+
+/// Scalar multiplication `k·P`; `k` is a little-endian limb scalar of
+/// any length.
+///
+/// Width-5 w-NAF: the odd multiples `P, 3P, …, 15P` are built in
+/// Jacobian coordinates and normalised with one batched inversion,
+/// then `k`'s signed digits drive one doubling per bit and one mixed
+/// addition per nonzero digit (about one in six bits). The final
+/// conversion to affine costs one more inversion.
+pub fn scalar_mul<F: FieldOps>(f: &F, k: &[u64], p: AffineRef<'_, F::Elem>) -> Affine<F::Elem> {
+    jp_to_affine(f, &wnaf_mul(f, k, p))
+}
+
+/// `true` iff `k·P` is the point at infinity.
+///
+/// The same loop as [`scalar_mul`], tested for `Z = 0` instead of
+/// paying the final inversion: the subgroup check `r·P = O` needs no
+/// affine result.
+pub fn scalar_mul_is_identity<F: FieldOps>(f: &F, k: &[u64], p: AffineRef<'_, F::Elem>) -> bool {
+    jp_is_infinity(f, &wnaf_mul(f, k, p))
 }
 
 /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` via Pippenger's bucket method
@@ -345,11 +489,30 @@ mod tests {
 
     #[test]
     fn addition_matches_repeated_add() {
+        // k up to 4·12 covers table entries at infinity, negative
+        // digits and carries across w-NAF windows. The 9-limb scalars
+        // take the chunked path; 2^64 ≡ 2^512 ≡ 2^576 ≡ 4 (mod 12), and
+        // the all-ones scalars carry a digit past the top of a chunk.
         for p in all_points(&F11) {
             let mut acc: Affine<FpW<1>> = None;
-            for k in 1u64..=12 {
+            let mut multiples = vec![None];
+            for k in 1u64..=48 {
                 acc = affine_add(&F11, as_ref(&acc), as_ref(&p));
+                multiples.push(acc);
                 assert_eq!(scalar_mul(&F11, &[k], as_ref(&p)), acc, "k={k}");
+                assert_eq!(
+                    scalar_mul_is_identity(&F11, &[k], as_ref(&p)),
+                    acc.is_none(),
+                    "k={k}"
+                );
+            }
+            for k in 0u64..=44 {
+                let wide = [k, 0, 0, 0, 0, 0, 0, 0, 1];
+                let expect = multiples[k as usize + 4];
+                assert_eq!(scalar_mul(&F11, &wide, as_ref(&p)), expect, "2^512+{k}");
+            }
+            for ones in [&[u64::MAX][..], &[u64::MAX; 9]] {
+                assert_eq!(scalar_mul(&F11, ones, as_ref(&p)), multiples[3]);
             }
         }
     }
@@ -358,6 +521,12 @@ mod tests {
     fn jacobian_add_matches_affine_exhaustively() {
         let pts = all_points(&F11);
         for a in &pts {
+            let ja = jp_from_affine(&F11, as_ref(a));
+            let sums: [JPoint<FpW<1>>; 12] =
+                core::array::from_fn(|i| jp_add(&F11, &ja, &jp_from_affine(&F11, as_ref(&pts[i]))));
+            let one_by_one: [Affine<FpW<1>>; 12] =
+                core::array::from_fn(|i| jp_to_affine(&F11, &sums[i]));
+            assert_eq!(batch_to_affine(&F11, &sums), one_by_one);
             for b in &pts {
                 let ja = jp_from_affine(&F11, as_ref(a));
                 let jb = jp_from_affine(&F11, as_ref(b));

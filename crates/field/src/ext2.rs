@@ -89,10 +89,9 @@ pub fn pow<F: FieldOps>(f: &F, a: &Ext2<F::Elem>, e: &[u64]) -> Ext2<F::Elem> {
     }
     // Odd powers a, a³, …, a¹⁵.
     let a2 = sqr(f, a);
-    let mut table: Vec<Ext2<F::Elem>> = Vec::with_capacity(8);
-    table.push(a.clone());
+    let mut table: [Ext2<F::Elem>; 8] = core::array::from_fn(|_| a.clone());
     for i in 1..8 {
-        table.push(mul(f, &table[i - 1], &a2));
+        table[i] = mul(f, &table[i - 1], &a2);
     }
     let mut acc = one(f);
     let mut started = false;

@@ -18,13 +18,19 @@
 //! exceptional-case logic is what makes the two backends bit-exact —
 //! the pairing crate's differential tests pin that property.
 //!
+//! Field arithmetic, scalar multiplication and exponentiation keep
+//! their tables and digit buffers in fixed-size stack arrays. Only the
+//! kernels whose size depends on their input allocate: Pippenger
+//! buckets, multi-pairing state and prepared line chains.
+//!
 //! Montgomery-form compatibility: for an `N`-limb modulus both
 //! backends use `R = 2^{64N}`, so raw limb vectors move between them
 //! with a plain copy (no form conversion).
 //!
 //! Secret scalar material that transits fixed-width paths is carried
 //! in [`secret::SecretLimbs`], which zeroizes on drop and redacts its
-//! `Debug` output.
+//! `Debug` output; the signed digits scalar multiplication recodes it
+//! into are wiped on drop the same way.
 
 pub mod curve;
 pub mod ext2;

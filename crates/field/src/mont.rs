@@ -358,9 +358,14 @@ impl<const N: usize> MontCtx<N> {
         FpW(reduce_once(t, t_n, &self.n))
     }
 
-    /// `a²` (CIOS; the asymmetric-operand savings of a dedicated
-    /// squaring are below 20% at these widths and not worth a second
-    /// carry-chain to audit).
+    /// `a²` through the CIOS multiplication.
+    ///
+    /// A naive dedicated squaring (off-diagonal products once, doubled,
+    /// plus the diagonal, then `redc_wide`) was measured at N = 8 on a
+    /// 2-core x86-64 VM: 8% faster in isolation, but `prepare_g1` got
+    /// 15% and 160-bit scalar multiplication 7% slower in context,
+    /// with the single pairing flat. The codegen of the N = 8 CIOS
+    /// loops should be inspected before a second carry chain is added.
     #[inline]
     pub fn sqr(&self, a: &FpW<N>) -> FpW<N> {
         self.mul(a, a)

@@ -1,12 +1,13 @@
-//! Fixed-width secret scalar container with zeroize-on-drop.
+//! Fixed-width secret scalar containers with zeroize-on-drop.
 //!
 //! `SecretLimbs` is the stack-allocated counterpart of the bigint
 //! crate's heap-backed secret integers: scalar material copied into
 //! fixed arithmetic paths lives here so that it is erased with a
-//! volatile write when the window tables and recoding buffers go out
-//! of scope. Debug output is redacted and equality is routed through
-//! the constant-time limb comparison, matching the workspace's secret
-//! hygiene rules (auditor R2/R4).
+//! volatile write when it goes out of scope. `SecretDigits` does the
+//! same for the signed-digit recoding the scalar-multiplication kernel
+//! derives from those limbs. Debug output is redacted and equality is
+//! routed through the constant-time limb comparison, matching the
+//! workspace's secret hygiene rules (auditor R2/R4).
 
 use core::fmt;
 
@@ -50,11 +51,47 @@ impl<const N: usize> SecretLimbs<N> {
 
 impl<const N: usize> Drop for SecretLimbs<N> {
     fn drop(&mut self) {
-        for limb in self.limbs.iter_mut() {
-            // Volatile so the wipe survives dead-store elimination.
-            unsafe { core::ptr::write_volatile(limb, 0) };
-        }
-        core::sync::atomic::compiler_fence(core::sync::atomic::Ordering::SeqCst);
+        wipe(&mut self.limbs);
+    }
+}
+
+/// Zeroes `buf` with volatile writes, so the wipe survives dead-store
+/// elimination.
+fn wipe<T: Copy + Default>(buf: &mut [T]) {
+    for v in buf.iter_mut() {
+        // SAFETY: `v` comes from a live `&mut` borrow of `buf`, so it is
+        // valid, aligned and exclusive for the write.
+        unsafe { core::ptr::write_volatile(v, T::default()) };
+    }
+    core::sync::atomic::compiler_fence(core::sync::atomic::Ordering::SeqCst);
+}
+
+/// A stack buffer of `N` signed scalar digits (a recoding of secret
+/// scalar limbs), zeroized with volatile writes on drop.
+pub(crate) struct SecretDigits<const N: usize> {
+    digits: [i8; N],
+}
+
+impl<const N: usize> SecretDigits<N> {
+    /// An all-zero buffer.
+    pub(crate) fn new() -> Self {
+        SecretDigits { digits: [0; N] }
+    }
+
+    /// Borrows the digits.
+    pub(crate) fn digits(&self) -> &[i8; N] {
+        &self.digits
+    }
+
+    /// Borrows the digits mutably, for recoding into.
+    pub(crate) fn digits_mut(&mut self) -> &mut [i8; N] {
+        &mut self.digits
+    }
+}
+
+impl<const N: usize> Drop for SecretDigits<N> {
+    fn drop(&mut self) {
+        wipe(&mut self.digits);
     }
 }
 

@@ -107,10 +107,10 @@ impl Jacobian {
     }
 }
 
-/// Scalar multiplication `k·P` (4-bit fixed window over Jacobian
-/// coordinates). Scalars that fit the fixed-width backend run there;
-/// everything else goes through the generic kernel on the bigint
-/// context.
+/// Scalar multiplication `k·P` (width-5 w-NAF over Jacobian
+/// coordinates, see [`sempair_field::curve::scalar_mul`]). Scalars that
+/// fit the fixed-width backend run there; everything else goes through
+/// the generic kernel on the bigint context.
 pub(crate) fn mul(f: &FpCtx, k: &BigUint, p: &G1Affine) -> G1Affine {
     if k.is_zero() || p.is_infinity() {
         return G1Affine::infinity();
@@ -121,6 +121,20 @@ pub(crate) fn mul(f: &FpCtx, k: &BigUint, p: &G1Affine) -> G1Affine {
         }
     }
     G1Affine(fcurve::scalar_mul(f, k.limbs(), p.coordinates()))
+}
+
+/// `true` iff `k·P` is the point at infinity: the loop of [`mul`]
+/// without its final inversion, dispatched the same way.
+pub(crate) fn mul_is_identity(f: &FpCtx, k: &BigUint, p: &G1Affine) -> bool {
+    if k.is_zero() || p.is_infinity() {
+        return true;
+    }
+    if let Some(fx) = f.fixed() {
+        if fx.fits_scalar(k) {
+            return fixed::mul_is_identity(fx, k, p);
+        }
+    }
+    fcurve::scalar_mul_is_identity(f, k.limbs(), p.coordinates())
 }
 
 /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` via Pippenger's bucket method
@@ -271,7 +285,7 @@ mod tests {
             }
             x = &x + &BigUint::one();
         };
-        // k(P) via affine chain vs windowed Jacobian.
+        // k(P) via affine chain vs w-NAF Jacobian.
         let k = BigUint::from(0x123456789abcdefu64);
         let mut affine_acc = G1Affine::infinity();
         // Double-and-add in affine.

@@ -196,13 +196,24 @@ pub(crate) fn fp2_pow(fx: &FixedCtx, a: &Fp2, e: &BigUint) -> Fp2 {
 
 // --- curve dispatch -------------------------------------------------------
 
-/// Windowed scalar multiplication `k·P`. Caller guarantees
+/// w-NAF scalar multiplication `k·P`. Caller guarantees
 /// `fx.fits_scalar(k)`.
 pub(crate) fn mul(fx: &FixedCtx, k: &BigUint, p: &G1Affine) -> G1Affine {
     fn go<const N: usize>(f: &MontCtx<N>, k: &BigUint, p: &G1Affine) -> G1Affine {
         let k = SecretLimbs::<N>::from_slice(k.limbs());
         let pf = point_to_fixed::<N>(p);
         point_from_fixed(&fcurve::scalar_mul(f, k.limbs(), as_ref(&pf)))
+    }
+    with_width!(fx, go(k, p))
+}
+
+/// `true` iff `k·P` is the point at infinity, without the final
+/// affine conversion. Caller guarantees `fx.fits_scalar(k)`.
+pub(crate) fn mul_is_identity(fx: &FixedCtx, k: &BigUint, p: &G1Affine) -> bool {
+    fn go<const N: usize>(f: &MontCtx<N>, k: &BigUint, p: &G1Affine) -> bool {
+        let k = SecretLimbs::<N>::from_slice(k.limbs());
+        let pf = point_to_fixed::<N>(p);
+        fcurve::scalar_mul_is_identity(f, k.limbs(), as_ref(&pf))
     }
     with_width!(fx, go(k, p))
 }

@@ -271,7 +271,7 @@ impl CurveParams {
         curve::neg(&self.fp, a)
     }
 
-    /// Scalar multiplication `k·P` (windowed Jacobian).
+    /// Scalar multiplication `k·P` (width-5 w-NAF, Jacobian).
     pub fn mul(&self, k: &BigUint, point: &G1Affine) -> G1Affine {
         curve::mul(&self.fp, k, point)
     }
@@ -336,8 +336,7 @@ impl CurveParams {
     /// `true` iff `point` lies on the curve **and** in the order-`r`
     /// subgroup.
     pub fn is_in_group(&self, point: &G1Affine) -> bool {
-        self.is_on_curve(point)
-            && (point.is_infinity() || curve::mul(&self.fp, &self.r, point).is_infinity())
+        self.is_on_curve(point) && curve::mul_is_identity(&self.fp, &self.r, point)
     }
 
     /// `true` iff `point` satisfies the curve equation — weaker (and

@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sempair_bigint::BigUint;
 use sempair_pairing::{CurveParams, G1Affine, MillerStrategy};
 
 /// Both-backend copies of a parameter set, plus a deterministic RNG.
@@ -41,6 +42,19 @@ fn scalar_mul_agrees_on_fast_params() {
     }
 }
 
+/// `k·P` by affine double-and-add over `CurveParams::add` — the E10
+/// baseline, sharing no code with the w-NAF kernel.
+fn affine_chain(prm: &CurveParams, k: &BigUint, p: &G1Affine) -> G1Affine {
+    let mut acc = G1Affine::infinity();
+    for i in (0..k.bits()).rev() {
+        acc = prm.add(&acc, &acc.clone());
+        if k.bit(i) {
+            acc = prm.add(&acc, p);
+        }
+    }
+    acc
+}
+
 #[test]
 fn scalar_mul_agrees_on_paper_params() {
     let (fast, slow, mut rng) = both(CurveParams::paper_default, 2);
@@ -49,6 +63,38 @@ fn scalar_mul_agrees_on_paper_params() {
         let p = fast.mul_generator(&fast.random_scalar(&mut rng));
         assert_eq!(fast.mul(&k, &p), slow.mul(&k, &p));
         assert_eq!(fast.mul_generator(&k), slow.mul_generator_generic(&k));
+    }
+    // Both backends run the same kernel, so edge scalars are also
+    // checked against an independent chain: single windows, window
+    // carries, the group order's neighbours, the cofactor, the
+    // extremes of the 160-bit range, and three full limbs of ones (a
+    // digit carried past the top limb). The hashed point is not a
+    // known multiple of the generator.
+    let one = BigUint::one();
+    let r = fast.order();
+    let mut scalars: Vec<BigUint> = [0u64, 1, 2, 15, 16, 17, 31, 32, 33]
+        .into_iter()
+        .map(BigUint::from)
+        .collect();
+    scalars.extend([
+        r - &one,
+        r.clone(),
+        r + &one,
+        fast.cofactor().clone(),
+        &one << 159,
+        &(&one << 160) - &one,
+        &(&one << 192) - &one,
+    ]);
+    let points = [
+        fast.mul_generator(&fast.random_scalar(&mut rng)),
+        fast.hash_to_g1(b"fixed_backend", b"edge scalars"),
+    ];
+    for p in &points {
+        for k in &scalars {
+            let expect = affine_chain(&fast, k, p);
+            assert_eq!(fast.mul(k, p), expect, "k={k:?}");
+            assert_eq!(slow.mul(k, p), expect, "k={k:?}");
+        }
     }
 }
 

@@ -48,10 +48,13 @@ echo "== tier-1: cargo test -q (workspace minus network crate)"
 cargo test -q --workspace --exclude sempair-net
 
 # Pairing perf trajectory: one JSON artifact per run, stable schema
-# (sempair-bench-pairing/1), written to the repo root so the number
-# trail survives per PR. ~1 min: it times the bigint reference too.
+# (sempair-bench-pairing/2: end-to-end rows plus per-kernel rows),
+# written to the repo root so the number trail survives per PR. ~1 min:
+# it times the bigint reference too.
 echo "== pairing benchmark (writes BENCH_pairing.json)"
 cargo run --release -q -p sempair-bench --bin pairing_bench
+grep -q '"schema": "sempair-bench-pairing/2"' BENCH_pairing.json \
+  || { echo "BENCH_pairing.json is not schema sempair-bench-pairing/2" >&2; exit 1; }
 
 # Serving perf trajectory (sempair-bench-serving/2): pipelined vs
 # single-in-flight throughput, tail latency under a one-shard
