@@ -1,5 +1,4 @@
-//! E9 — SEM daemon token throughput vs worker count, and single vs
-//! batched requests.
+//! E9 — SEM daemon token throughput vs worker count.
 //!
 //! Paper claim (§4): one online SEM serves the whole system; this bench
 //! measures how token service over loopback TCP scales with the
@@ -43,28 +42,11 @@ fn bench_throughput(c: &mut Criterion) {
         let addr = server.local_addr();
         group.bench_function(BenchmarkId::new("tokens", format!("w{workers}")), |b| {
             b.iter(|| {
-                token_throughput(addr, params, "load", &ct.u, workers.min(4), REQUESTS, 1).unwrap()
+                token_throughput(addr, params, "load", &ct.u, workers.min(4), REQUESTS).unwrap()
             })
         });
         server.shutdown();
     }
-    group.finish();
-
-    let mut group = c.benchmark_group("e9/batched_endpoint");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(1));
-    group.warm_up_time(Duration::from_millis(300));
-    group.throughput(Throughput::Elements(REQUESTS as u64));
-    // Same request stream, same pairing work per token — the deltas
-    // below are framing, round-trip and lock-acquisition amortization.
-    let server = daemon(4);
-    let addr = server.local_addr();
-    for batch in [1usize, 4, 16, 32] {
-        group.bench_function(BenchmarkId::new("batched", format!("b{batch}")), |b| {
-            b.iter(|| token_throughput(addr, params, "load", &ct.u, 2, REQUESTS, batch).unwrap())
-        });
-    }
-    server.shutdown();
     group.finish();
 }
 

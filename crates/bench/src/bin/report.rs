@@ -367,7 +367,7 @@ fn main() {
         identity_cap: 32,
     };
     let mut rows = Vec::new();
-    for (workers, batch) in [(1usize, 1usize), (2, 1), (4, 1), (8, 1), (4, 16)] {
+    for workers in [1usize, 2, 4, 8] {
         let config = ServerConfig {
             workers,
             audit: audit.clone(),
@@ -383,18 +383,12 @@ fn main() {
             &load_ct.u,
             4,
             256,
-            batch,
         )
         .expect("throughput run failed");
         let metrics = server.metrics();
         let (_, ibe_latency) = &metrics.latency_us[0];
         rows.push(vec![
             workers.to_string(),
-            if batch == 1 {
-                "single".to_string()
-            } else {
-                format!("batch of {batch}")
-            },
             format!("{:.0} tokens/s", result.ops_per_sec()),
             format!("{} µs", ibe_latency.quantile(0.5)),
             format!("{} µs", ibe_latency.quantile(0.95)),
@@ -410,7 +404,6 @@ fn main() {
         markdown_table(
             &[
                 "SEM workers",
-                "requests",
                 "throughput",
                 "token p50",
                 "token p95",

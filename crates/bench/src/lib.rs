@@ -11,7 +11,7 @@ pub mod report;
 
 use sempair_core::bf_ibe::IbePublicParams;
 use sempair_core::Error;
-use sempair_net::tcp::{BatchItem, BatchReply, TcpSemClient};
+use sempair_net::tcp::TcpSemClient;
 use sempair_pairing::G1Affine;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -34,15 +34,13 @@ impl ThroughputResult {
 
 /// The E9 load generator: `clients` concurrent connections to the SEM
 /// daemon at `addr` request `total` decryption tokens for `id` and
-/// ciphertext component `u` between them. With `batch == 1` every
-/// token is its own request; larger values pack up to `batch` tokens
-/// into each [`TcpSemClient::batch`] call.
+/// ciphertext component `u` between them, one request per token.
 ///
 /// # Errors
 ///
-/// [`Error::Transport`] when a client cannot connect or a batch reply
-/// has the wrong shape; otherwise the first refused token (a refused
-/// or unknown identity means the experiment is misconfigured).
+/// [`Error::Transport`] when a client cannot connect; otherwise the
+/// first refused token (a refused or unknown identity means the
+/// experiment is misconfigured).
 pub fn token_throughput(
     addr: SocketAddr,
     params: &IbePublicParams,
@@ -50,45 +48,17 @@ pub fn token_throughput(
     u: &G1Affine,
     clients: usize,
     total: usize,
-    batch: usize,
 ) -> Result<ThroughputResult, Error> {
-    let batch = batch.max(1);
     let per_client = total / clients;
-    let items = vec![
-        BatchItem::IbeToken {
-            id: id.to_string(),
-            u: u.clone(),
-        };
-        batch
-    ];
     let start = Instant::now();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|_| {
-                let items = &items;
                 scope.spawn(move || -> Result<(), Error> {
                     let mut client = TcpSemClient::connect(addr, params.clone())
                         .map_err(|_| Error::Transport)?;
-                    let mut remaining = per_client;
-                    while remaining > 0 {
-                        let n = remaining.min(batch);
-                        if batch == 1 {
-                            client.ibe_token(id, u)?;
-                        } else {
-                            let replies = client.batch(&items[..n])?;
-                            if replies.len() != n {
-                                return Err(Error::Transport);
-                            }
-                            for reply in replies {
-                                match reply {
-                                    BatchReply::IbeToken(token) => {
-                                        token?;
-                                    }
-                                    BatchReply::GdhHalfSign(_) => return Err(Error::Transport),
-                                }
-                            }
-                        }
-                        remaining -= n;
+                    for _ in 0..per_client {
+                        client.ibe_token(id, u)?;
                     }
                     Ok(())
                 })
@@ -124,26 +94,17 @@ mod tests {
         let c = pkg.params().encrypt_full(&mut rng, "alice", b"m").unwrap();
         let addr = server.local_addr();
 
-        let single = token_throughput(addr, pkg.params(), "alice", &c.u, 2, 16, 1).unwrap();
+        let single = token_throughput(addr, pkg.params(), "alice", &c.u, 2, 16).unwrap();
         assert_eq!(single.requests, 16);
         assert!(single.ops_per_sec() > 0.0);
-        let batched = token_throughput(addr, pkg.params(), "alice", &c.u, 2, 16, 5).unwrap();
-        assert_eq!(batched.requests, 16);
-        let t = server.audit_transport();
-        assert_eq!(t.single, 16);
-        assert_eq!(t.batched_items, 16);
-        // Each client covers 8 requests in batches of 5: ⌈8/5⌉ = 2.
-        assert_eq!(t.batches, 4);
-        assert_eq!(server.audit_stats("alice").served, 32);
+        assert_eq!(server.audit_stats("alice").served, 16);
 
         // A refused identity surfaces instead of being counted.
         server.revoke("alice");
-        for batch in [1, 5] {
-            assert_eq!(
-                token_throughput(addr, pkg.params(), "alice", &c.u, 1, 5, batch).unwrap_err(),
-                Error::Revoked
-            );
-        }
+        assert_eq!(
+            token_throughput(addr, pkg.params(), "alice", &c.u, 1, 5).unwrap_err(),
+            Error::Revoked
+        );
         server.shutdown();
     }
 }

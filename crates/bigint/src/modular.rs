@@ -2,7 +2,7 @@
 //!
 //! These functions take the modulus as an explicit argument and reduce
 //! eagerly. For repeated work with a fixed odd modulus, prefer the
-//! [`Montgomery`](crate::Montgomery) context.
+//! [`Montgomery`] context.
 
 use crate::{BigInt, BigUint, Error, Montgomery};
 

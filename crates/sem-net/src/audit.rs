@@ -22,8 +22,8 @@
 //!   [`OVERFLOW_IDENTITY`] bucket, so attacker-minted identity strings
 //!   cannot grow the map;
 //! * **log-spaced histograms** ([`Histogram`], power-of-two buckets)
-//!   for per-capability request service latency and batch envelope
-//!   sizes, plus flat transport counters ([`TransportStats`]).
+//!   for per-capability request service latency, plus flat transport
+//!   fault counters ([`TransportStats`]).
 //!
 //! Everything is exportable as a [`MetricsSnapshot`] with a
 //! Prometheus-style text encoding that round-trips
@@ -128,18 +128,10 @@ pub struct IdentityStats {
     pub bytes_out: u64,
 }
 
-/// How requests reached the SEM: one job/frame each, or amortized
-/// inside batch envelopes. The `batches : batched_items` ratio is the
-/// E9 amortization factor (channel hops and revocation-list lock
-/// acquisitions saved).
+/// Transport fault counters: connections the SEM closed or refused
+/// before serving a request on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Requests that arrived as standalone jobs/frames.
-    pub single: u64,
-    /// Requests that arrived inside a batch envelope.
-    pub batched_items: u64,
-    /// Batch envelopes processed.
-    pub batches: u64,
     /// Connections closed because a socket deadline (idle or mid-frame
     /// read) expired — the slowloris counter.
     pub timeouts: u64,
@@ -178,10 +170,6 @@ pub const OVERFLOW_IDENTITY: &str = "__overflow__";
 /// Number of latency buckets: powers of two from 1 µs up to
 /// ~2 s (2²¹ µs), plus the unbounded overflow bucket.
 const LATENCY_BUCKETS: usize = 22;
-
-/// Number of batch-size buckets: powers of two up to 2¹⁰ items, plus
-/// overflow (the wire caps batches at `u16` items).
-const BATCH_BUCKETS: usize = 12;
 
 /// A fixed-size log-spaced histogram.
 ///
@@ -357,8 +345,6 @@ pub struct MetricsSnapshot {
     /// Service-latency histograms (microseconds) per request
     /// capability, in [`Capability::REQUESTS`] order.
     pub latency_us: Vec<(Capability, Histogram)>,
-    /// Batch envelope sizes (items per envelope).
-    pub batch_sizes: Histogram,
     /// Per-replica health rows for clustered deployments, sorted by
     /// replica index. Empty for a single SEM — a snapshot taken from a
     /// lone [`AuditLog`] never invents replicas.
@@ -447,21 +433,6 @@ impl MetricsSnapshot {
             "sem_overflow_bytes_total",
             self.overflow.bytes_out,
         );
-        let _ = writeln!(
-            out,
-            "sem_transport_requests_total{{mode=\"single\"}} {}",
-            self.transport.single
-        );
-        let _ = writeln!(
-            out,
-            "sem_transport_requests_total{{mode=\"batched\"}} {}",
-            self.transport.batched_items
-        );
-        scalar(
-            &mut out,
-            "sem_transport_batches_total",
-            self.transport.batches,
-        );
         scalar(
             &mut out,
             "sem_transport_timeouts_total",
@@ -498,15 +469,6 @@ impl MetricsSnapshot {
             );
             let _ = writeln!(out, "{name}_sum{{capability=\"{label}\"}} {}", hist.sum());
         }
-        let hist = &self.batch_sizes;
-        let mut cumulative = 0u64;
-        for i in 0..hist.buckets() {
-            cumulative += hist.bucket_count(i);
-            let le = le_label(hist, i);
-            let _ = writeln!(out, "sem_batch_size_bucket{{le=\"{le}\"}} {cumulative}");
-        }
-        let _ = writeln!(out, "sem_batch_size_count {}", hist.count());
-        let _ = writeln!(out, "sem_batch_size_sum {}", hist.sum());
         for replica in &self.replicas {
             let i = replica.index;
             let _ = writeln!(
@@ -550,9 +512,7 @@ impl MetricsSnapshot {
     /// exposition.
     pub fn from_prometheus_text(text: &str) -> Option<Self> {
         let mut scalars: HashMap<&str, u64> = HashMap::new();
-        let mut transport_modes: HashMap<String, u64> = HashMap::new();
         let mut latency: Vec<LatencySeries> = Vec::new();
-        let mut batch_buckets: Vec<u64> = Vec::new();
         // replica index → (reachable, cheats); both series required.
         let mut replica_rows: HashMap<u32, (Option<bool>, Option<u64>)> = HashMap::new();
         // cache name → [hits, misses, evictions, entries, weight]; all
@@ -565,10 +525,6 @@ impl MetricsSnapshot {
             }
             let (name, labels, value) = parse_metric_line(line)?;
             match name {
-                "sem_transport_requests_total" => {
-                    let mode = label_value(&labels, "mode")?;
-                    transport_modes.insert(mode.to_string(), value);
-                }
                 "sem_request_latency_us_bucket" => {
                     let capability = label_value(&labels, "capability")?;
                     let entry = latency_entry(&mut latency, capability);
@@ -582,7 +538,6 @@ impl MetricsSnapshot {
                     let capability = label_value(&labels, "capability")?;
                     latency_entry(&mut latency, capability).3 = Some(value);
                 }
-                "sem_batch_size_bucket" => batch_buckets.push(value),
                 "sem_replica_reachable" => {
                     let index: u32 = label_value(&labels, "replica")?.parse().ok()?;
                     if value > 1 {
@@ -624,11 +579,6 @@ impl MetricsSnapshot {
                 Some((capability, hist))
             })
             .collect::<Option<Vec<_>>>()?;
-        let batch_sizes = histogram_from_cumulative(
-            &batch_buckets,
-            get("sem_batch_size_count")?,
-            get("sem_batch_size_sum")?,
-        )?;
         let mut replicas: Vec<ReplicaHealth> = replica_rows
             .into_iter()
             .map(|(index, (reachable, cheats))| {
@@ -672,14 +622,10 @@ impl MetricsSnapshot {
                 bytes_out: get("sem_overflow_bytes_total")?,
             },
             transport: TransportStats {
-                single: *transport_modes.get("single")?,
-                batched_items: *transport_modes.get("batched")?,
-                batches: get("sem_transport_batches_total")?,
                 timeouts: get("sem_transport_timeouts_total")?,
                 refused_conns: get("sem_transport_refused_conns_total")?,
             },
             latency_us,
-            batch_sizes,
             replicas,
             caches,
             // Absent in expositions from pre-lockdep builds: read as
@@ -714,9 +660,6 @@ impl MetricsSnapshot {
         self.identity_cap += other.identity_cap;
         add(&mut self.totals, &other.totals);
         add(&mut self.overflow, &other.overflow);
-        self.transport.single += other.transport.single;
-        self.transport.batched_items += other.transport.batched_items;
-        self.transport.batches += other.transport.batches;
         self.transport.timeouts += other.transport.timeouts;
         self.transport.refused_conns += other.transport.refused_conns;
         self.lockdep.checks += other.lockdep.checks;
@@ -728,7 +671,6 @@ impl MetricsSnapshot {
                 None => self.latency_us.push((*capability, hist.clone())),
             }
         }
-        self.batch_sizes.merge(&other.batch_sizes);
         self.replicas.extend(other.replicas.iter().copied());
         self.replicas.sort_by_key(|r| r.index);
         // Cache rows add by name — the merged row reads as the
@@ -892,7 +834,6 @@ struct Inner {
     totals: IdentityStats,
     transport: TransportStats,
     latency_us: [Histogram; Capability::REQUESTS.len()],
-    batch_sizes: Histogram,
 }
 
 impl AuditLog {
@@ -919,7 +860,6 @@ impl AuditLog {
                         Histogram::new(LATENCY_BUCKETS),
                         Histogram::new(LATENCY_BUCKETS),
                     ],
-                    batch_sizes: Histogram::new(BATCH_BUCKETS),
                 },
             ),
         }
@@ -930,9 +870,9 @@ impl AuditLog {
         self.inner.lock().config.clone()
     }
 
-    /// Appends one record for a request that arrived on its own.
-    /// `latency` is the service time (measured by the caller around
-    /// the crypto work) fed into the per-capability histogram.
+    /// Appends one record for a request. `latency` is the service time
+    /// (measured by the caller around the crypto work) fed into the
+    /// per-capability histogram.
     pub fn record(
         &self,
         id: &str,
@@ -941,84 +881,8 @@ impl AuditLog {
         response_bytes: usize,
         latency: Duration,
     ) {
-        self.record_inner(id, capability, outcome, response_bytes, latency, false);
-    }
-
-    /// Appends one record for a request that arrived inside a batch
-    /// envelope (call [`AuditLog::note_batch`] once per envelope).
-    pub fn record_batched(
-        &self,
-        id: &str,
-        capability: Capability,
-        outcome: Outcome,
-        response_bytes: usize,
-        latency: Duration,
-    ) {
-        self.record_inner(id, capability, outcome, response_bytes, latency, true);
-    }
-
-    /// Counts one batch envelope of `items` requests (the per-item
-    /// records come through [`AuditLog::record_batched`]).
-    pub fn note_batch(&self, items: usize) {
-        let mut inner = self.inner.lock();
-        inner.transport.batches += 1;
-        inner.batch_sizes.observe(items as u64);
-    }
-
-    /// Counts one connection closed by a socket deadline (idle or
-    /// mid-frame read timeout).
-    pub fn note_timeout(&self) {
-        self.inner.lock().transport.timeouts += 1;
-    }
-
-    /// Counts one connection refused at the `max_connections` cap and
-    /// appends an [`Outcome::RefusedOverload`] record.
-    ///
-    /// `peer` is keyed by **IP only**: the port of an `ip:port`
-    /// rendering is stripped, so a reconnect storm cycling ephemeral
-    /// ports maps to one identity entry instead of minting a fresh one
-    /// per source port (and the whole thing stays under the
-    /// cardinality cap regardless).
-    ///
-    /// Unlike [`AuditLog::record`], this does not tick the
-    /// single-request transport counter: no request was served.
-    pub fn note_refused_conn(&self, peer: &str) {
-        let key = peer_ip(peer);
         let at = self.started.elapsed();
         let mut inner = self.inner.lock();
-        inner.transport.refused_conns += 1;
-        inner.totals.refused += 1;
-        let tracked_as = inner.identity_key(key);
-        inner
-            .by_identity
-            .entry(tracked_as.clone())
-            .or_default()
-            .refused += 1;
-        inner.push_record(AuditRecord {
-            id: tracked_as,
-            capability: Capability::Connect,
-            outcome: Outcome::RefusedOverload,
-            response_bytes: 0,
-            at,
-        });
-    }
-
-    fn record_inner(
-        &self,
-        id: &str,
-        capability: Capability,
-        outcome: Outcome,
-        response_bytes: usize,
-        latency: Duration,
-        batched: bool,
-    ) {
-        let at = self.started.elapsed();
-        let mut inner = self.inner.lock();
-        if batched {
-            inner.transport.batched_items += 1;
-        } else {
-            inner.transport.single += 1;
-        }
         if let Some(i) = capability.latency_index() {
             inner.latency_us[i].observe(latency.as_micros() as u64);
         }
@@ -1045,7 +909,42 @@ impl AuditLog {
         });
     }
 
-    /// Single-vs-batched transport counters.
+    /// Counts one connection closed by a socket deadline (idle or
+    /// mid-frame read timeout).
+    pub fn note_timeout(&self) {
+        self.inner.lock().transport.timeouts += 1;
+    }
+
+    /// Counts one connection refused at the `max_connections` cap and
+    /// appends an [`Outcome::RefusedOverload`] record.
+    ///
+    /// `peer` is keyed by **IP only**: the port of an `ip:port`
+    /// rendering is stripped, so a reconnect storm cycling ephemeral
+    /// ports maps to one identity entry instead of minting a fresh one
+    /// per source port (and the whole thing stays under the
+    /// cardinality cap regardless).
+    pub fn note_refused_conn(&self, peer: &str) {
+        let key = peer_ip(peer);
+        let at = self.started.elapsed();
+        let mut inner = self.inner.lock();
+        inner.transport.refused_conns += 1;
+        inner.totals.refused += 1;
+        let tracked_as = inner.identity_key(key);
+        inner
+            .by_identity
+            .entry(tracked_as.clone())
+            .or_default()
+            .refused += 1;
+        inner.push_record(AuditRecord {
+            id: tracked_as,
+            capability: Capability::Connect,
+            outcome: Outcome::RefusedOverload,
+            response_bytes: 0,
+            at,
+        });
+    }
+
+    /// Transport fault counters.
     pub fn transport_stats(&self) -> TransportStats {
         self.inner.lock().transport
     }
@@ -1139,7 +1038,6 @@ impl AuditLog {
                 .zip(&inner.latency_us)
                 .map(|(&c, h)| (c, h.clone()))
                 .collect(),
-            batch_sizes: inner.batch_sizes.clone(),
             replicas: Vec::new(),
             caches: Vec::new(),
             lockdep: lockdep_stats_now(),
@@ -1277,29 +1175,16 @@ mod tests {
     fn transport_counters_split_single_and_batched() {
         let log = AuditLog::new();
         log.record("a", Capability::IbeDecrypt, Outcome::Served, 64, NO_LAT);
-        log.note_batch(2);
-        log.record_batched("a", Capability::IbeDecrypt, Outcome::Served, 64, NO_LAT);
-        log.record_batched("b", Capability::GdhSign, Outcome::RefusedRevoked, 0, NO_LAT);
-        log.note_batch(1);
-        log.record_batched("a", Capability::IbeDecrypt, Outcome::Served, 64, NO_LAT);
-        let t = log.transport_stats();
-        assert_eq!(
-            t,
-            TransportStats {
-                single: 1,
-                batched_items: 3,
-                batches: 2,
-                ..TransportStats::default()
-            }
-        );
-        // Per-identity aggregation is transport-agnostic.
-        assert_eq!(log.stats_for("a").served, 3);
+        log.record("b", Capability::GdhSign, Outcome::RefusedRevoked, 0, NO_LAT);
+        // Served and refused requests are audited per identity and in
+        // the totals; the transport counters count only connection
+        // faults.
+        assert_eq!(log.transport_stats(), TransportStats::default());
+        assert_eq!(log.stats_for("a").served, 1);
         assert_eq!(log.stats_for("b").refused, 1);
-        assert_eq!(log.len(), 4);
-        // Batch sizes landed in the histogram.
+        assert_eq!(log.len(), 2);
         let m = log.metrics();
-        assert_eq!(m.batch_sizes.count(), 2);
-        assert_eq!(m.batch_sizes.sum(), 3);
+        assert_eq!((m.totals.served, m.totals.refused), (1, 1));
     }
 
     #[test]
@@ -1312,8 +1197,8 @@ mod tests {
         assert_eq!(t.timeouts, 2);
         assert_eq!(t.refused_conns, 1);
         // A refused connection is a real audit record, but not a
-        // served/single request.
-        assert_eq!((t.single, t.batched_items, t.batches), (0, 0, 0));
+        // served request.
+        assert_eq!(log.metrics().totals.served, 0);
         assert_eq!(log.len(), 1);
         let rec = &log.snapshot()[0];
         assert_eq!(rec.capability, Capability::Connect);
@@ -1521,14 +1406,6 @@ mod tests {
             128,
             Duration::from_micros(4000),
         );
-        log.note_batch(3);
-        log.record_batched(
-            "alice",
-            Capability::IbeDecrypt,
-            Outcome::Served,
-            128,
-            NO_LAT,
-        );
         log.note_timeout();
         log.note_refused_conn("10.1.1.1:4444");
         for i in 0..10 {
@@ -1550,7 +1427,9 @@ mod tests {
         assert!(text.contains("sem_audit_records_dropped_total"));
         assert!(text.contains("sem_request_latency_us_bucket{capability=\"ibe_decrypt\""));
         assert!(text.contains("le=\"+Inf\""));
-        assert!(text.contains("sem_transport_requests_total{mode=\"single\"}"));
+        assert!(text.contains("sem_transport_timeouts_total 1"));
+        assert!(!text.contains("sem_transport_requests_total"));
+        assert!(!text.contains("sem_batch_size"));
     }
 
     #[test]
@@ -1563,7 +1442,11 @@ mod tests {
         let truncated = &good[..good.len() / 2];
         assert!(MetricsSnapshot::from_prometheus_text(truncated).is_none());
         // A non-integer value breaks it.
-        let bad = good.replace("sem_batch_size_sum 0", "sem_batch_size_sum x");
+        let bad = good.replace(
+            "sem_transport_timeouts_total 0",
+            "sem_transport_timeouts_total x",
+        );
+        assert_ne!(bad, good);
         assert!(MetricsSnapshot::from_prometheus_text(&bad).is_none());
     }
 
@@ -1705,7 +1588,6 @@ mod tests {
             0,
             Duration::from_micros(40),
         );
-        b_log.note_batch(2);
         let mut merged = a_log.metrics();
         merged.replicas.push(ReplicaHealth {
             index: 1,
@@ -1723,7 +1605,6 @@ mod tests {
         assert_eq!(merged.totals.refused, 1);
         assert_eq!(merged.totals.bytes_out, 150);
         assert_eq!(merged.transport.timeouts, 1);
-        assert_eq!(merged.batch_sizes.count, 1);
         let decrypt_hist = merged
             .latency_us
             .iter()

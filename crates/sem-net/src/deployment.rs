@@ -79,8 +79,8 @@ impl Deployment {
     }
 
     /// The SEM's bounded metrics snapshot — the deployment-level
-    /// observability feed (counters, identity metering, latency and
-    /// batch-size histograms).
+    /// observability feed (counters, identity metering, latency
+    /// histograms).
     pub fn metrics(&self) -> crate::audit::MetricsSnapshot {
         self.server.metrics()
     }

@@ -28,9 +28,9 @@
 //! For the same reason, everything the SEM records about its traffic
 //! is **bounded**: the audit log is a capped ring buffer, per-identity
 //! metering is cardinality-capped with an overflow bucket, and latency
-//! and batch-size distributions live in fixed-size log-spaced
-//! histograms — all exportable as a serializable snapshot over the
-//! wire (op 4) or via `sempair stats` ([`audit`]).
+//! distributions live in fixed-size log-spaced histograms — all
+//! exportable as a serializable snapshot over the wire (op 4) or via
+//! `sempair stats` ([`audit`]).
 //!
 //! Finally, the single SEM — the architecture's one point of failure —
 //! is replaced by a replicated **(t, n) quorum** ([`cluster`]): each

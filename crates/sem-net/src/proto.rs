@@ -12,29 +12,17 @@
 //!   `F_p²` token.
 //! * op `2` (GDH half-sign): body is the message; ok-body is a
 //!   compressed half-signature point.
-//! * op `3` (batch): the id field is empty and the body is a
-//!   count-prefixed sequence of op-1/op-2 items, each in the single
-//!   request layout minus the frame prefix:
-//!
-//!   ```text
-//!   batch-body := u16 count ‖ item*
-//!   item       := u8 op ‖ u16 id-len ‖ id ‖ u32 body-len ‖ body
-//!   ```
-//!
-//!   The ok-response body mirrors it with per-item statuses
-//!   (`u16 count ‖ (u8 status ‖ u32 body-len ‖ body)*`), so one revoked
-//!   identity inside a batch refuses only its own item. Batches cannot
-//!   nest, and a whole batch must fit in [`MAX_FRAME`].
+//! * op `3` is unassigned: a request carrying it fails to decode and
+//!   is answered with `Invalid`, like any unknown op.
 //! * op `4` (stats): the id and body are empty; the ok-body is the
 //!   daemon's [`crate::audit::MetricsSnapshot`] in its Prometheus-style
-//!   text exposition (UTF-8). Stats requests are not batchable.
+//!   text exposition (UTF-8).
 //! * op `5` (token share): body is a compressed `U` point; the ok-body
 //!   is a [`sempair_core::threshold::DecryptionShare`] carrying the
 //!   replica's partial token *and* its §3.2 pairing-equality NIZK
 //!   (`threshold::decryption_share_to_bytes` layout), so the quorum
 //!   client can verify the share against the replica's verification
-//!   key before combining. Token-share requests are not batchable
-//!   (quorum fan-out already parallelizes across replicas).
+//!   key before combining.
 //! * op `6` (pipelined envelope, protocol v2): the id field is empty
 //!   and the body wraps any *one* other request together with a client
 //!   session and a per-request id, so a connection can keep many
@@ -75,8 +63,6 @@ pub enum Op {
     IbeToken = 1,
     /// Mediated-GDH half-signature.
     GdhHalfSign = 2,
-    /// Batch envelope carrying op-1/op-2 items.
-    Batch = 3,
     /// Metrics snapshot request (empty id/body; ok-body is the
     /// Prometheus-style text exposition).
     Stats = 4,
@@ -93,7 +79,6 @@ impl Op {
         match v {
             1 => Some(Op::IbeToken),
             2 => Some(Op::GdhHalfSign),
-            3 => Some(Op::Batch),
             4 => Some(Op::Stats),
             5 => Some(Op::TokenShare),
             6 => Some(Op::Pipelined),
@@ -114,7 +99,7 @@ pub enum Status {
     /// Malformed request or off-curve point.
     Invalid = 3,
     /// The server shed the request: its bounded job queue is full (or
-    /// past the brownout watermark, for Stats/Batch-class ops). The
+    /// past the brownout watermark, for Stats requests). The
     /// request was not executed and may be retried after backoff; the
     /// response body may carry a typed retry-after hint (see
     /// [`encode_retry_after`]).
@@ -271,116 +256,6 @@ pub fn decode_response(payload: &[u8]) -> Option<Response> {
         status,
         body: r.rest().to_vec(),
     })
-}
-
-/// Encodes the body of an [`Op::Batch`] request from op-1/op-2 items.
-///
-/// Wrap the result in `Request { op: Op::Batch, id: String::new(), .. }`
-/// before framing with [`encode_request`].
-///
-/// # Panics
-///
-/// Panics if an item is itself [`Op::Batch`] (batches cannot nest),
-/// [`Op::Stats`], or [`Op::TokenShare`] (neither is batchable), or the
-/// batch exceeds `u16` items.
-pub fn encode_batch_items(items: &[Request]) -> Vec<u8> {
-    assert!(
-        items.len() <= u16::MAX as usize,
-        "batch exceeds u16 item count"
-    );
-    let mut buf = BytesMut::new();
-    buf.put_u16(items.len() as u16);
-    for item in items {
-        assert!(item.op != Op::Batch, "batches cannot nest");
-        assert!(item.op != Op::Stats, "stats requests are not batchable");
-        assert!(
-            item.op != Op::TokenShare,
-            "token-share requests are not batchable"
-        );
-        buf.put_u8(item.op as u8);
-        buf.put_u16(item.id.len() as u16);
-        buf.put_slice(item.id.as_bytes());
-        buf.put_u32(item.body.len() as u32);
-        buf.put_slice(&item.body);
-    }
-    buf.to_vec()
-}
-
-/// Decodes an [`Op::Batch`] request body into its items.
-///
-/// Returns `None` for malformed bodies, nested batches, batched stats,
-/// token-share or pipelined-envelope items, or trailing garbage.
-pub fn decode_batch_items(body: &[u8]) -> Option<Vec<Request>> {
-    let mut r = Reader::new(body);
-    let count = r.u16_be()? as usize;
-    // Cap the pre-allocation by what the buffer could actually hold
-    // (headers alone are 7 bytes per item), so a short frame declaring
-    // a huge count cannot trigger a multi-megabyte allocation; the
-    // per-item length checks below then reject the frame.
-    let mut items = Vec::with_capacity(count.min(r.remaining() / 7));
-    for _ in 0..count {
-        let op = Op::from_u8(r.u8()?)?;
-        if op == Op::Batch || op == Op::Stats || op == Op::TokenShare || op == Op::Pipelined {
-            return None;
-        }
-        let id_len = r.u16_be()? as usize;
-        let id = String::from_utf8(r.bytes(id_len)?.to_vec()).ok()?;
-        let body_len = r.u32_be()? as usize;
-        let item_body = r.bytes(body_len)?.to_vec();
-        items.push(Request {
-            op,
-            id,
-            body: item_body,
-        });
-    }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(items)
-}
-
-/// Encodes the ok-body of an [`Op::Batch`] response from per-item
-/// responses.
-///
-/// # Panics
-///
-/// Panics if the batch exceeds `u16` items.
-pub fn encode_batch_replies(replies: &[Response]) -> Vec<u8> {
-    assert!(
-        replies.len() <= u16::MAX as usize,
-        "batch exceeds u16 item count"
-    );
-    let mut buf = BytesMut::new();
-    buf.put_u16(replies.len() as u16);
-    for reply in replies {
-        buf.put_u8(reply.status as u8);
-        buf.put_u32(reply.body.len() as u32);
-        buf.put_slice(&reply.body);
-    }
-    buf.to_vec()
-}
-
-/// Decodes an [`Op::Batch`] response ok-body into per-item responses.
-pub fn decode_batch_replies(body: &[u8]) -> Option<Vec<Response>> {
-    let mut r = Reader::new(body);
-    let count = r.u16_be()? as usize;
-    // Same allocation cap as `decode_batch_items`: reply headers are
-    // 5 bytes each, so the declared count cannot out-allocate the
-    // frame that carries it.
-    let mut replies = Vec::with_capacity(count.min(r.remaining() / 5));
-    for _ in 0..count {
-        let status = Status::from_u8(r.u8()?)?;
-        let body_len = r.u32_be()? as usize;
-        let item_body = r.bytes(body_len)?.to_vec();
-        replies.push(Response {
-            status,
-            body: item_body,
-        });
-    }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(replies)
 }
 
 /// Protocol version carried in every [`Op::Pipelined`] envelope.
@@ -593,6 +468,8 @@ mod tests {
     fn malformed_payloads_rejected() {
         assert!(decode_request(&[]).is_none());
         assert!(decode_request(&[9, 0, 0]).is_none()); // bad op
+        assert_eq!(Op::from_u8(3), None); // unassigned
+        assert!(decode_request(&[3, 0, 0, 0, 0, 0, 0]).is_none());
         assert!(decode_request(&[1, 0, 5, b'a']).is_none()); // short id
                                                              // Body length mismatch.
         let mut frame = encode_request(&Request {
@@ -605,108 +482,6 @@ mod tests {
         assert!(decode_request(&frame[4..]).is_none());
         assert!(decode_response(&[]).is_none());
         assert!(decode_response(&[7, 0, 0, 0, 0]).is_none()); // bad status
-    }
-
-    #[test]
-    fn batch_items_roundtrip() {
-        let items = vec![
-            Request {
-                op: Op::IbeToken,
-                id: "alice".into(),
-                body: vec![1, 2, 3],
-            },
-            Request {
-                op: Op::GdhHalfSign,
-                id: "signer".into(),
-                body: b"doc".to_vec(),
-            },
-            Request {
-                op: Op::IbeToken,
-                id: String::new(),
-                body: vec![],
-            },
-        ];
-        let body = encode_batch_items(&items);
-        assert_eq!(decode_batch_items(&body).unwrap(), items);
-        // An empty batch is representable.
-        assert_eq!(
-            decode_batch_items(&encode_batch_items(&[])).unwrap(),
-            vec![]
-        );
-        // The envelope survives the outer framing too.
-        let outer = Request {
-            op: Op::Batch,
-            id: String::new(),
-            body,
-        };
-        let frame = encode_request(&outer).unwrap();
-        assert_eq!(decode_request(&frame[4..]).unwrap(), outer);
-    }
-
-    #[test]
-    fn batch_replies_roundtrip() {
-        let replies = vec![
-            Response {
-                status: Status::Ok,
-                body: vec![9u8; 64],
-            },
-            Response {
-                status: Status::Revoked,
-                body: vec![],
-            },
-            Response {
-                status: Status::Ok,
-                body: vec![7u8; 33],
-            },
-        ];
-        let body = encode_batch_replies(&replies);
-        assert_eq!(decode_batch_replies(&body).unwrap(), replies);
-    }
-
-    #[test]
-    fn malformed_batches_rejected() {
-        // Truncated count.
-        assert!(decode_batch_items(&[0]).is_none());
-        // Count promises more items than present.
-        assert!(decode_batch_items(&[0, 2, 1, 0, 0, 0, 0, 0, 0]).is_none());
-        // Nested batch op.
-        let mut nested = vec![0, 1];
-        nested.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0]);
-        assert!(decode_batch_items(&nested).is_none());
-        // Batched stats op.
-        let mut stats = vec![0, 1];
-        stats.extend_from_slice(&[4, 0, 0, 0, 0, 0, 0]);
-        assert!(decode_batch_items(&stats).is_none());
-        // Batched token-share op.
-        let mut share = vec![0, 1];
-        share.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0]);
-        assert!(decode_batch_items(&share).is_none());
-        // Trailing garbage after the last item.
-        let mut body = encode_batch_items(&[Request {
-            op: Op::IbeToken,
-            id: "x".into(),
-            body: vec![],
-        }]);
-        body.push(0xee);
-        assert!(decode_batch_items(&body).is_none());
-        // Truncated reply list.
-        assert!(decode_batch_replies(&[0, 1, 0, 0, 0, 0]).is_none());
-        let mut replies = encode_batch_replies(&[Response {
-            status: Status::Ok,
-            body: vec![1],
-        }]);
-        replies.push(0xee);
-        assert!(decode_batch_replies(&replies).is_none());
-    }
-
-    #[test]
-    fn huge_declared_count_rejected_without_allocation() {
-        // A 2-byte frame declaring u16::MAX items must be rejected by
-        // the per-item checks without the count driving a pre-allocation
-        // (the capacity cap bounds it by the actual buffer size).
-        assert!(decode_batch_items(&[0xff, 0xff]).is_none());
-        assert!(decode_batch_replies(&[0xff, 0xff]).is_none());
-        assert!(decode_batch_items(&[0xff, 0xff, 1, 0, 0, 0, 0, 0, 0]).is_none());
     }
 
     #[test]

@@ -41,9 +41,9 @@
 //!   spawned per-connection **writer** thread sends replies back in
 //!   whatever order the pool finishes them, tagged with the request id.
 //! * The pool's scheduler is cryptography-aware: each worker drains a
-//!   burst of cheap token-class jobs (IBE tokens, token shares,
-//!   batches, stats) before picking up at most one expensive signing
-//!   job per cycle, so signatures cannot starve token latency.
+//!   burst of cheap token-class jobs (IBE tokens, token shares, stats)
+//!   before picking up at most one expensive signing job per cycle, so
+//!   signatures cannot starve token latency.
 //! * Revocation/key state is **sharded** by identity hash
 //!   ([`crate::revocation::shard_of`]): a revocation storm writing one
 //!   shard leaves the other shards' read locks uncontended.
@@ -137,13 +137,13 @@ pub struct ServerConfig {
     /// without limit.
     pub queue_cap: usize,
     /// Brownout high-watermark on the pool queue: once its depth
-    /// reaches this, *brownout-class* ops (Stats and Batch — the work
-    /// that can wait) are shed with [`Status::Overloaded`] while
-    /// token/signing ops keep being admitted up to `queue_cap`, so an
-    /// overloaded SEM degrades observability and bulk traffic before
-    /// the latency-critical crypto path. Shed responses carry a typed
-    /// retry-after hint ([`proto::encode_retry_after`]). `0` (the
-    /// default) means ¾ of `queue_cap`.
+    /// reaches this, *brownout-class* ops (Stats — the work that can
+    /// wait) are shed with [`Status::Overloaded`] while token/signing
+    /// ops keep being admitted up to `queue_cap`, so an overloaded SEM
+    /// degrades observability before the latency-critical crypto path.
+    /// Shed responses carry a typed retry-after hint
+    /// ([`proto::encode_retry_after`]). `0` (the default) means ¾ of
+    /// `queue_cap`.
     pub brownout_watermark: usize,
     /// Max envelopes one connection may have in flight; past it the
     /// reader stops reading and TCP backpressures the peer.
@@ -257,17 +257,16 @@ impl Shared {
     /// Queues a pipelined job on the worker pool; hands the job back
     /// (plus the queue depth at refusal, for the retry-after hint)
     /// when the caller must shed it. Token/signing work is shed only
-    /// when the bounded queue is full; brownout-class work (Stats,
-    /// Batch) is shed already at the brownout watermark, so overload
-    /// degrades the deferrable traffic first.
+    /// when the bounded queue is full; brownout-class work (Stats) is
+    /// shed already at the brownout watermark, so overload degrades the
+    /// deferrable traffic first.
     fn enqueue(&self, job: WireJob) -> Option<(WireJob, usize)> {
         let mut state = self.pool.state.lock(); // lock:acquire(Pool)
         let depth = state.tokens.len() + state.signs.len();
         if depth >= self.config.queue_cap.max(1) {
             return Some((job, depth));
         }
-        let brownout_class = matches!(job.env.inner.op, Op::Stats | Op::Batch);
-        if brownout_class && depth >= self.config.effective_brownout_watermark() {
+        if job.env.inner.op == Op::Stats && depth >= self.config.effective_brownout_watermark() {
             return Some((job, depth));
         }
         if job.env.inner.op == Op::GdhHalfSign {
@@ -312,7 +311,7 @@ impl Shared {
 }
 
 /// The worker pool's two job classes under one lock: cheap token-class
-/// work (ops 1/3/4/5) and expensive signing work (op 2), scheduled
+/// work (ops 1/4/5) and expensive signing work (op 2), scheduled
 /// with a token bias ([`TOKEN_BURST`]).
 #[derive(Default)]
 struct PoolState {
@@ -624,70 +623,20 @@ pub struct TcpSemClient {
     jitter: HmacDrbgRng,
 }
 
-/// One request inside a batched SEM call (see [`TcpSemClient::batch`]).
-///
-/// A batch crosses the wire as a single op-3 envelope and is served
-/// item by item, each under its own shard's read lock. Results come
-/// back per item — one bad request never poisons its neighbours.
-#[derive(Debug, Clone)]
-pub enum BatchItem {
-    /// Mediated-IBE decryption token request.
-    IbeToken {
-        /// Identity named in the request.
-        id: String,
-        /// Ciphertext component `U`.
-        u: G1Affine,
-    },
-    /// Mediated-GDH half-signature request.
-    GdhHalfSign {
-        /// Identity named in the request.
-        id: String,
-        /// Message to half-sign.
-        message: Vec<u8>,
-    },
-}
-
-/// Per-item outcome of a batched SEM call, in request order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchReply {
-    /// Outcome of a [`BatchItem::IbeToken`] request.
-    IbeToken(Result<DecryptToken, Error>),
-    /// Outcome of a [`BatchItem::GdhHalfSign`] request.
-    GdhHalfSign(Result<HalfSignature, Error>),
-}
-
 /// Reads one length-prefixed frame payload; `Ok(None)` on clean EOF.
 ///
-/// Uses whatever read deadline is already set on the socket (the
-/// client's per-request deadline; none in tests that probe raw
-/// sockets).
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > proto::MAX_FRAME {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// Server-side frame read under two deadlines: `idle` bounds the wait
-/// for the length prefix, `read` the wait for the rest of the frame.
-fn read_frame_deadlines(
+/// With `deadlines = Some((idle, read))` (the server side), `idle`
+/// bounds the wait for the length prefix and `read` the wait for the
+/// rest of the frame. With `None`, whatever read deadline is already
+/// set on the socket applies (the client's per-request deadline; none
+/// in tests that probe raw sockets).
+fn read_frame(
     stream: &mut TcpStream,
-    idle: Duration,
-    read: Duration,
+    deadlines: Option<(Duration, Duration)>,
 ) -> std::io::Result<Option<Vec<u8>>> {
-    set_read_deadline(stream, idle)?;
+    if let Some((idle, _)) = deadlines {
+        set_read_deadline(stream, idle)?;
+    }
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -701,7 +650,9 @@ fn read_frame_deadlines(
             "frame exceeds MAX_FRAME",
         ));
     }
-    set_read_deadline(stream, read)?;
+    if let Some((_, read)) = deadlines {
+        set_read_deadline(stream, read)?;
+    }
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
     Ok(Some(payload))
@@ -716,6 +667,37 @@ fn set_read_deadline(stream: &TcpStream, deadline: Duration) -> std::io::Result<
 /// Windows).
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// Client-side connect: tries each address in turn (under
+/// `connect_timeout`; zero means a plain blocking connect) and applies
+/// `request_timeout` as the socket's read and write deadline (zero
+/// disables it). Errs with the last address's failure.
+fn connect_stream(
+    addrs: &[SocketAddr],
+    connect_timeout: Duration,
+    request_timeout: Duration,
+) -> std::io::Result<TcpStream> {
+    let mut last: Option<std::io::Error> = None;
+    for addr in addrs {
+        let attempt = if connect_timeout.is_zero() {
+            TcpStream::connect(addr)
+        } else {
+            TcpStream::connect_timeout(addr, connect_timeout)
+        };
+        match attempt {
+            Ok(stream) => {
+                let deadline = (!request_timeout.is_zero()).then_some(request_timeout);
+                stream.set_read_timeout(deadline)?;
+                stream.set_write_timeout(deadline)?;
+                return Ok(stream);
+            }
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| {
+        std::io::Error::new(ErrorKind::AddrNotAvailable, "no addresses to connect to")
+    }))
 }
 
 impl TcpSemServer {
@@ -940,8 +922,8 @@ impl TcpSemServer {
         self.shared.audit.total_bytes_out()
     }
 
-    /// Transport counters: single-vs-batched traffic plus the fault
-    /// counters (deadline disconnects, refused connections).
+    /// Transport fault counters (deadline disconnects, refused
+    /// connections).
     pub fn audit_transport(&self) -> crate::audit::TransportStats {
         self.shared.audit.transport_stats()
     }
@@ -1090,10 +1072,9 @@ fn read_frames(
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let payload = match read_frame_deadlines(
+        let payload = match read_frame(
             stream,
-            shared.config.idle_timeout,
-            shared.config.read_timeout,
+            Some((shared.config.idle_timeout, shared.config.read_timeout)),
         ) {
             Ok(Some(payload)) => payload,
             Ok(None) => return Ok(()),
@@ -1155,8 +1136,8 @@ fn send_plain(
     response: &Response,
 ) -> std::io::Result<()> {
     let frame = proto::encode_response(response);
-    // A response that cannot fit the protocol (a pathological
-    // batch reply) is replaced by an empty Invalid instead of
+    // A response that cannot fit the protocol (a Stats exposition
+    // past MAX_FRAME) is replaced by an empty Invalid instead of
     // emitting a frame the client must tear the connection on.
     let frame = if frame.len() > 4 + proto::MAX_FRAME {
         proto::encode_response(&Response {
@@ -1249,7 +1230,7 @@ fn admit_envelope(env: PipelinedRequest, sink: &ConnWriter, shared: &Shared) {
             };
             if let Some((job, depth)) = shared.enqueue(job) {
                 // Queue full (or past the brownout watermark for
-                // Stats/Batch): shed. The request was NOT executed, so
+                // Stats): shed. The request was NOT executed, so
                 // un-track its id — a later retry must run fresh.
                 job.gate.release();
                 shared.idem.lock().forget(key);
@@ -1267,27 +1248,22 @@ fn admit_envelope(env: PipelinedRequest, sink: &ConnWriter, shared: &Shared) {
     }
 }
 
-/// Audits a request the pool refused. Every identity it names gets a
-/// [`Outcome::RefusedOverload`] record — each item of a shed batch
-/// under its own identity — so shedding is as visible per identity as
-/// serving.
+/// Audits a request the pool refused with an
+/// [`Outcome::RefusedOverload`] record under its identity, so shedding
+/// is as visible per identity as serving.
 fn audit_shed(request: &Request, audit: &AuditLog) {
-    let record = |id: &str, op: Op| {
-        let capability = if op == Op::GdhHalfSign {
-            Capability::GdhSign
-        } else {
-            Capability::IbeDecrypt
-        };
-        audit.record(id, capability, Outcome::RefusedOverload, 0, Duration::ZERO);
+    let capability = if request.op == Op::GdhHalfSign {
+        Capability::GdhSign
+    } else {
+        Capability::IbeDecrypt
     };
-    let items = match request.op {
-        Op::Batch => proto::decode_batch_items(&request.body),
-        _ => None,
-    };
-    match items {
-        Some(items) => items.iter().for_each(|item| record(&item.id, item.op)),
-        None => record(&request.id, request.op),
-    }
+    audit.record(
+        &request.id,
+        capability,
+        Outcome::RefusedOverload,
+        0,
+        Duration::ZERO,
+    );
 }
 
 /// One pool worker: drains up to [`TOKEN_BURST`] token-class jobs plus
@@ -1296,7 +1272,7 @@ fn audit_shed(request: &Request, audit: &AuditLog) {
 /// connection's writer.
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let burst = {
             let mut state = shared.pool.state.lock(); // lock:acquire(Pool)
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -1307,10 +1283,10 @@ fn worker_loop(shared: &Shared) {
                 }
                 let _ = state.wait_timeout(&shared.pool.ready, POOL_POLL);
             }
-            let mut batch = Vec::new();
-            while batch.len() < TOKEN_BURST {
+            let mut burst = Vec::new();
+            while burst.len() < TOKEN_BURST {
                 match state.tokens.pop_front() {
-                    Some(job) => batch.push(job),
+                    Some(job) => burst.push(job),
                     None => break,
                 }
             }
@@ -1320,14 +1296,14 @@ fn worker_loop(shared: &Shared) {
             // consecutive jobs for one identity hit the precompute
             // tier back-to-back instead of interleaving identities
             // and churning the half-key LRU.
-            let mut batch = group_by_identity(batch);
+            let mut burst = group_by_identity(burst);
             let mut state = shared.pool.state.lock(); // lock:acquire(Pool)
             if let Some(job) = state.signs.pop_front() {
-                batch.push(job);
+                burst.push(job);
             }
-            batch
+            burst
         };
-        for job in batch {
+        for job in burst {
             execute_job(job, shared);
         }
     }
@@ -1389,16 +1365,6 @@ fn execute_job(job: WireJob, shared: &Shared) {
 
 fn handle_request(request: &Request, shared: &Shared) -> Response {
     match request.op {
-        Op::Batch => match proto::decode_batch_items(&request.body) {
-            // Like an undecodable frame, an undecodable batch body is
-            // answered without an audit record — there is no item to
-            // attribute it to.
-            None => Response {
-                status: Status::Invalid,
-                body: vec![],
-            },
-            Some(items) => handle_batch(&items, shared),
-        },
         // An operator metrics pull, not a user request: answered from
         // the audit log itself and (deliberately) not audited, so
         // polling a dashboard never perturbs the numbers it reads.
@@ -1430,49 +1396,8 @@ fn handle_request(request: &Request, shared: &Shared) -> Response {
     }
 }
 
-/// Serves a whole decoded batch, taking each item's shard read lock
-/// individually (items may land on different shards), and wraps the
-/// per-item responses into one ok-frame.
-fn handle_batch(items: &[Request], shared: &Shared) -> Response {
-    let served: Vec<(Capability, Response, Duration)> = items
-        .iter()
-        .map(|item| {
-            let started = Instant::now();
-            let (capability, response) = {
-                let inner = shared.shard(&item.id).read(); // lock:acquire(Shard)
-                serve_item(item.op, &item.id, &item.body, shared, &inner)
-            };
-            (capability, response, started.elapsed())
-        })
-        .collect();
-    shared.audit.note_batch(items.len());
-    for (item, (_, response, _)) in items.iter().zip(&served) {
-        if item.op == Op::IbeToken && response.status == Status::Ok {
-            shared.note_warm(&item.id);
-        }
-    }
-    for (item, (capability, response, latency)) in items.iter().zip(&served) {
-        shared.audit.record_batched(
-            &item.id,
-            *capability,
-            outcome_for(response.status),
-            response.body.len(),
-            *latency,
-        );
-    }
-    let replies: Vec<Response> = served
-        .into_iter()
-        .map(|(_, response, _)| response)
-        .collect();
-    Response {
-        status: Status::Ok,
-        body: proto::encode_batch_replies(&replies),
-    }
-}
-
 /// Serves one op-1/op-2/op-5 request against an already-acquired lock
-/// guard (shared by the single path and every batch item; op 5 never
-/// appears in a batch).
+/// guard.
 fn serve_item(
     op: Op,
     id: &str,
@@ -1568,7 +1493,6 @@ fn serve_item(
             };
             (Capability::IbeDecrypt, response)
         }
-        Op::Batch => unreachable!("nested batches are rejected at decode"),
         Op::Stats => unreachable!("stats is handled before item dispatch"),
         Op::Pipelined => unreachable!("envelopes are unwrapped before item dispatch"),
     }
@@ -1670,34 +1594,24 @@ impl TcpSemClient {
     /// socket deadlines.
     fn reconnect(&mut self) -> std::io::Result<()> {
         self.stream = None;
-        let mut last: Option<std::io::Error> = None;
-        for addr in &self.addrs {
-            let attempt = if self.config.connect_timeout.is_zero() {
-                TcpStream::connect(addr)
-            } else {
-                TcpStream::connect_timeout(addr, self.config.connect_timeout)
-            };
-            match attempt {
-                Ok(stream) => {
-                    let deadline = (!self.config.request_timeout.is_zero())
-                        .then_some(self.config.request_timeout);
-                    stream.set_read_timeout(deadline)?;
-                    stream.set_write_timeout(deadline)?;
-                    self.stream = Some(stream);
-                    return Ok(());
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            std::io::Error::new(ErrorKind::AddrNotAvailable, "no addresses to connect to")
-        }))
+        self.stream = Some(connect_stream(
+            &self.addrs,
+            self.config.connect_timeout,
+            self.config.request_timeout,
+        )?);
+        Ok(())
     }
 
-    /// One write/read round trip over the current connection,
-    /// reconnecting first if it is torn. `Ok(None)` means the response
-    /// frame arrived but did not decode.
-    fn exchange_once(&mut self, frame: &[u8]) -> std::io::Result<Option<Response>> {
+    /// One round trip over the current connection, reconnecting first
+    /// if it is torn: writes `frame`, then reads its reply. With
+    /// `req_id` (the pipelined path) it reads until the reply tagged
+    /// `req_id` arrives, skipping stale replies to abandoned requests.
+    /// `Ok(None)` means an intact frame arrived but did not decode.
+    fn exchange_once(
+        &mut self,
+        frame: &[u8],
+        req_id: Option<u64>,
+    ) -> std::io::Result<Option<Response>> {
         if self.stream.is_none() {
             self.reconnect()?;
             self.stats.reconnects += 1;
@@ -1711,40 +1625,14 @@ impl TcpSemClient {
             ));
         };
         stream.write_all(frame)?;
-        let payload = read_frame(stream)?.ok_or_else(|| {
-            std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed mid-exchange")
-        })?;
-        Ok(proto::decode_response(&payload))
-    }
-
-    /// One pipelined round trip: writes the enveloped frame, then reads
-    /// until the reply tagged `req_id` arrives (stale replies to
-    /// abandoned requests are skipped). `Ok(None)` means an intact
-    /// frame arrived but did not decode.
-    fn exchange_once_pipelined(
-        &mut self,
-        frame: &[u8],
-        req_id: u64,
-    ) -> std::io::Result<Option<Response>> {
-        if self.stream.is_none() {
-            self.reconnect()?;
-            self.stats.reconnects += 1;
-        }
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(std::io::Error::new(
-                ErrorKind::NotConnected,
-                "no connection after reconnect",
-            ));
-        };
-        stream.write_all(frame)?;
         loop {
-            let payload = read_frame(stream)?.ok_or_else(|| {
+            let payload = read_frame(stream, None)?.ok_or_else(|| {
                 std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed mid-exchange")
             })?;
             let Some(outer) = proto::decode_response(&payload) else {
                 return Ok(None);
             };
-            if outer.status == Status::Ok {
+            if let (Some(req_id), Status::Ok) = (req_id, outer.status) {
                 if let Some((got, inner)) = proto::decode_pipelined_reply(&outer.body) {
                     if got == req_id {
                         return Ok(Some(inner));
@@ -1785,11 +1673,7 @@ impl TcpSemClient {
         let mut attempt: u32 = 0;
         let mut overload_attempt: u32 = 0;
         loop {
-            let outcome = match req_id {
-                Some(req_id) => self.exchange_once_pipelined(&frame, req_id),
-                None => self.exchange_once(&frame),
-            };
-            match outcome {
+            match self.exchange_once(&frame, req_id) {
                 // A shed request was NOT executed (the server forgets
                 // its idempotency key), so re-sending is safe; wait
                 // out the server's typed retry-after hint — or our own
@@ -1939,81 +1823,6 @@ impl TcpSemClient {
         let text = self.stats_text()?;
         MetricsSnapshot::from_prometheus_text(&text).ok_or(Error::InvalidCiphertext)
     }
-
-    /// Sends a mixed batch of requests as **one** frame each way and
-    /// returns the per-item outcomes in request order.
-    ///
-    /// The daemon serves the whole batch under a single
-    /// revocation-list read-lock acquisition; per-item refusals come
-    /// back inside the [`BatchReply`] entries. The encoded batch must
-    /// fit in [`proto::MAX_FRAME`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Transport`] once the retry budget is exhausted;
-    /// [`Error::FrameTooLarge`] for a batch that overflows
-    /// [`proto::MAX_FRAME`]; a malformed or item-count-mismatched
-    /// reply as [`Error::InvalidCiphertext`].
-    pub fn batch(&mut self, items: &[BatchItem]) -> Result<Vec<BatchReply>, Error> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let encoded: Vec<Request> = {
-            let curve = self.params.curve();
-            items
-                .iter()
-                .map(|item| match item {
-                    BatchItem::IbeToken { id, u } => Request {
-                        op: Op::IbeToken,
-                        id: id.clone(),
-                        body: curve.point_to_bytes(u),
-                    },
-                    BatchItem::GdhHalfSign { id, message } => Request {
-                        op: Op::GdhHalfSign,
-                        id: id.clone(),
-                        body: message.clone(),
-                    },
-                })
-                .collect()
-        };
-        let request = Request {
-            op: Op::Batch,
-            id: String::new(),
-            body: proto::encode_batch_items(&encoded),
-        };
-        let response = self.exchange(&request)?;
-        if let Some(err) = response.status.to_error() {
-            return Err(err);
-        }
-        let replies =
-            proto::decode_batch_replies(&response.body).ok_or(Error::InvalidCiphertext)?;
-        if replies.len() != items.len() {
-            return Err(Error::InvalidCiphertext);
-        }
-        let curve = self.params.curve();
-        Ok(items
-            .iter()
-            .zip(replies)
-            .map(|(item, reply)| match item {
-                BatchItem::IbeToken { .. } => BatchReply::IbeToken(match reply.status.to_error() {
-                    Some(err) => Err(err),
-                    None => curve
-                        .gt_from_bytes(&reply.body)
-                        .map(DecryptToken)
-                        .map_err(|_| Error::InvalidCiphertext),
-                }),
-                BatchItem::GdhHalfSign { .. } => {
-                    BatchReply::GdhHalfSign(match reply.status.to_error() {
-                        Some(err) => Err(err),
-                        None => curve
-                            .point_from_bytes(&reply.body)
-                            .map(HalfSignature)
-                            .map_err(|_| Error::InvalidCiphertext),
-                    })
-                }
-            })
-            .collect())
-    }
 }
 
 /// One event observed by [`PipeClient::recv`].
@@ -2047,26 +1856,14 @@ impl PipeClient {
     ///
     /// Propagates socket errors from the connect.
     pub fn connect(addr: impl ToSocketAddrs, request_timeout: Duration) -> std::io::Result<Self> {
-        let mut last: Option<std::io::Error> = None;
-        for addr in addr.to_socket_addrs()? {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let deadline = (!request_timeout.is_zero()).then_some(request_timeout);
-                    stream.set_read_timeout(deadline)?;
-                    stream.set_write_timeout(deadline)?;
-                    let mut rng = StdRng::from_entropy();
-                    return Ok(PipeClient {
-                        stream,
-                        session: rng.next_u64(),
-                        next_req_id: 1,
-                    });
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            std::io::Error::new(ErrorKind::AddrNotAvailable, "no addresses to connect to")
-        }))
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let stream = connect_stream(&addrs, Duration::ZERO, request_timeout)?;
+        let mut rng = StdRng::from_entropy();
+        Ok(PipeClient {
+            stream,
+            session: rng.next_u64(),
+            next_req_id: 1,
+        })
     }
 
     /// The random session tag stamped on every envelope.
@@ -2112,7 +1909,7 @@ impl PipeClient {
     /// [`Error::InvalidCiphertext`] for a frame that does not decode as
     /// any response.
     pub fn recv(&mut self) -> Result<PipeReply, Error> {
-        let payload = read_frame(&mut self.stream)
+        let payload = read_frame(&mut self.stream, None)
             .map_err(|_| Error::Transport)?
             .ok_or(Error::Transport)?;
         let outer = proto::decode_response(&payload).ok_or(Error::InvalidCiphertext)?;
@@ -2312,124 +2109,51 @@ mod tests {
     fn malformed_frames_get_invalid_status() {
         let (pkg, server, _) = setup();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        // Garbage payload of length 3.
-        stream.write_all(&3u32.to_be_bytes()).unwrap();
-        stream.write_all(&[0xde, 0xad, 0xbe]).unwrap();
-        let payload = read_frame(&mut stream).unwrap().unwrap();
-        let response = proto::decode_response(&payload).unwrap();
-        assert_eq!(response.status, Status::Invalid);
-        // The connection survives and serves a valid request afterwards.
         let curve = pkg.params().curve();
         let req = Request {
             op: Op::IbeToken,
             id: "ghost".into(),
             body: curve.point_to_bytes(curve.generator()),
         };
-        stream
-            .write_all(&proto::encode_request(&req).unwrap())
-            .unwrap();
-        let payload = read_frame(&mut stream).unwrap().unwrap();
-        assert_eq!(
-            proto::decode_response(&payload).unwrap().status,
-            Status::Unknown
-        );
-        server.shutdown();
-    }
-
-    #[test]
-    fn batch_over_real_sockets() {
-        let (pkg, server, mut rng) = setup();
-        let curve = pkg.params().curve();
-        let (user, ibe_sem) = pkg.extract_split(&mut rng, "alice");
-        server.install_ibe(ibe_sem);
-        let (gdh_user, gdh_sem, pk) = gdh::mediated_keygen(&mut rng, curve, "signer");
-        server.install_gdh(gdh_sem);
-        let mut client = TcpSemClient::connect(server.local_addr(), pkg.params().clone()).unwrap();
-        let c = pkg
-            .params()
-            .encrypt_full(&mut rng, "alice", b"batched")
-            .unwrap();
-        let replies = client
-            .batch(&[
-                BatchItem::IbeToken {
-                    id: "alice".into(),
-                    u: c.u.clone(),
-                },
-                BatchItem::GdhHalfSign {
-                    id: "signer".into(),
-                    message: b"doc".to_vec(),
-                },
-                BatchItem::IbeToken {
-                    id: "ghost".into(),
-                    u: c.u.clone(),
-                },
-            ])
-            .unwrap();
-        assert_eq!(replies.len(), 3);
-        let BatchReply::IbeToken(Ok(token)) = &replies[0] else {
-            panic!("item 0")
-        };
-        let BatchReply::GdhHalfSign(Ok(half)) = &replies[1] else {
-            panic!("item 1")
-        };
-        assert_eq!(
-            replies[2],
-            BatchReply::IbeToken(Err(Error::UnknownIdentity))
-        );
-        assert_eq!(
-            user.finish_decrypt(pkg.params(), &c, token).unwrap(),
-            b"batched"
-        );
-        let sig = gdh_user.finish_sign(curve, b"doc", half).unwrap();
-        gdh::verify(curve, &pk, b"doc", &sig).unwrap();
-        // Transport counters: one envelope, three batched items; an
-        // empty batch never reaches the wire.
-        assert!(client.batch(&[]).unwrap().is_empty());
-        let t = server.audit_transport();
-        assert_eq!((t.single, t.batched_items, t.batches), (0, 3, 1));
-        assert_eq!(server.audit_stats("alice").served, 1);
-        // A revoked identity refuses only its own item.
-        server.revoke("alice");
-        let replies = client
-            .batch(&[
-                BatchItem::IbeToken {
-                    id: "alice".into(),
-                    u: c.u.clone(),
-                },
-                BatchItem::GdhHalfSign {
-                    id: "signer".into(),
-                    message: b"doc".to_vec(),
-                },
-            ])
-            .unwrap();
-        assert_eq!(replies[0], BatchReply::IbeToken(Err(Error::Revoked)));
-        assert!(matches!(&replies[1], BatchReply::GdhHalfSign(Ok(_))));
-        server.shutdown();
-    }
-
-    #[test]
-    fn malformed_batch_body_gets_invalid_status() {
-        let (pkg, server, _) = setup();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        let req = Request {
-            op: Op::Batch,
+        // Garbage payload of length 3.
+        let mut garbage = 3u32.to_be_bytes().to_vec();
+        garbage.extend_from_slice(&[0xde, 0xad, 0xbe]);
+        // A plain frame carrying the unassigned op 3, with an empty id
+        // and a zero item count as its body: only the op byte is
+        // wrong.
+        let op3 = Request {
+            op: Op::IbeToken,
             id: String::new(),
-            body: vec![0xde, 0xad],
+            body: vec![0, 0],
         };
-        stream
-            .write_all(&proto::encode_request(&req).unwrap())
-            .unwrap();
-        let payload = read_frame(&mut stream).unwrap().unwrap();
-        assert_eq!(
-            proto::decode_response(&payload).unwrap().status,
-            Status::Invalid
-        );
-        // No audit record and no transport tick for an unattributable body.
-        assert_eq!(
-            server.audit_transport(),
-            crate::audit::TransportStats::default()
-        );
-        drop(pkg);
+        let mut plain_op3 = proto::encode_request(&op3).unwrap();
+        plain_op3[4] = 3;
+        // A pipelined envelope whose inner op is 3: the inner op byte
+        // follows the outer header (4 + 1 + 2 + 4) and the envelope
+        // header (4 + 8 + 8).
+        let mut inner_op3 = proto::encode_pipelined_request(&PipelinedRequest {
+            session: 7,
+            req_id: 1,
+            inner: op3,
+        })
+        .unwrap();
+        inner_op3[31] = 3;
+        for bad in [garbage, plain_op3, inner_op3] {
+            stream.write_all(&bad).unwrap();
+            let payload = read_frame(&mut stream, None).unwrap().unwrap();
+            let response = proto::decode_response(&payload).unwrap();
+            assert_eq!(response.status, Status::Invalid);
+            // The connection survives and serves a valid request
+            // afterwards.
+            stream
+                .write_all(&proto::encode_request(&req).unwrap())
+                .unwrap();
+            let payload = read_frame(&mut stream, None).unwrap().unwrap();
+            assert_eq!(
+                proto::decode_response(&payload).unwrap().status,
+                Status::Unknown
+            );
+        }
         server.shutdown();
     }
 
@@ -2442,7 +2166,7 @@ mod tests {
             .unwrap();
         stream.write_all(&[0u8; 16]).unwrap();
         // Server closes the connection: next read returns EOF/err.
-        let result = read_frame(&mut stream);
+        let result = read_frame(&mut stream, None);
         assert!(matches!(result, Ok(None) | Err(_)));
         server.shutdown();
     }
@@ -2512,11 +2236,6 @@ mod tests {
         assert!(report.handlers_joined >= 1);
         // A client that outlives the daemon fails typed, not by panic.
         assert_eq!(client.ibe_token("alice", &c.u), Err(Error::Transport));
-        let item = BatchItem::IbeToken {
-            id: "alice".into(),
-            u: c.u.clone(),
-        };
-        assert_eq!(client.batch(&[item]), Err(Error::Transport));
     }
 
     #[test]
@@ -2812,10 +2531,9 @@ mod tests {
     }
 
     /// Brownout shedding: with the queue depth between the watermark
-    /// and the cap, deferrable Stats- and Batch-class work is shed
-    /// (with a typed retry-after hint in the overloaded body, and every
-    /// item of the shed batch audited under its own identity) while
-    /// token-class crypto work is still admitted.
+    /// and the cap, deferrable Stats-class work is shed (with a typed
+    /// retry-after hint in the overloaded body) while token-class
+    /// crypto work is still admitted.
     #[test]
     fn brownout_sheds_stats_class_before_token_class() {
         let (pkg, server, mut rng) = setup_with(ServerConfig {
@@ -2854,35 +2572,21 @@ mod tests {
             id: "alice".into(),
             body: pkg.params().curve().point_to_bytes(&c.u),
         };
-        let batch_id = pipe
-            .submit(&Request {
-                op: Op::Batch,
-                id: String::new(),
-                body: proto::encode_batch_items(&[
-                    token.clone(),
-                    Request {
-                        id: "carol".into(),
-                        ..token.clone()
-                    },
-                ]),
-            })
-            .unwrap();
         let token_id = pipe.submit(&token).unwrap();
-        let (mut saw_stats, mut saw_batch, mut saw_token) = (false, false, false);
-        for _ in 0..8 {
+        let (mut saw_stats, mut saw_token) = (false, false);
+        for _ in 0..7 {
             match pipe.recv().unwrap() {
                 PipeReply::Reply(req_id, inner) => {
-                    if req_id == stats_id || req_id == batch_id {
+                    if req_id == stats_id {
                         assert_eq!(
                             inner.status,
                             Status::Overloaded,
-                            "Stats- and Batch-class ops must brown out above the watermark"
+                            "Stats-class ops must brown out above the watermark"
                         );
                         let hint = proto::decode_retry_after(&inner.body)
                             .expect("shed replies carry a typed retry-after hint");
                         assert!((10..=100).contains(&hint), "hint {hint} ms out of band");
-                        saw_stats |= req_id == stats_id;
-                        saw_batch |= req_id == batch_id;
+                        saw_stats = true;
                     } else if req_id == token_id {
                         assert_eq!(
                             inner.status,
@@ -2898,10 +2602,9 @@ mod tests {
                 PipeReply::Plain(outer) => panic!("unexpected plain reply: {:?}", outer.status),
             }
         }
-        assert!(saw_stats && saw_batch && saw_token && sign_ids.is_empty());
-        // Each item of the shed batch was refused under its identity.
-        assert_eq!(server.audit_stats("alice").refused, 1);
-        assert_eq!(server.audit_stats("carol").refused, 1);
+        assert!(saw_stats && saw_token && sign_ids.is_empty());
+        // Only the Stats pull was shed: every alice request was served.
+        assert_eq!(server.audit_stats("alice").refused, 0);
         server.shutdown();
     }
 

@@ -7,9 +7,8 @@
 
 use proptest::prelude::*;
 use sempair_net::proto::{
-    self, decode_batch_items, decode_batch_replies, decode_request, decode_response,
-    encode_batch_items, encode_batch_replies, encode_request, encode_response, Op, Request,
-    Response, Status,
+    self, decode_pipelined_body, decode_pipelined_reply, decode_request, decode_response,
+    encode_request, encode_response, Op, Request, Response, Status,
 };
 use sempair_net::store::{Journal, Record};
 use std::path::PathBuf;
@@ -51,8 +50,8 @@ proptest! {
     fn random_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_request(&bytes);
         let _ = decode_response(&bytes);
-        let _ = decode_batch_items(&bytes);
-        let _ = decode_batch_replies(&bytes);
+        let _ = decode_pipelined_body(&bytes);
+        let _ = decode_pipelined_reply(&bytes);
     }
 
     #[test]
@@ -101,51 +100,6 @@ proptest! {
         frame[idx] ^= stomp;
         // Must fail closed or parse as *some* request — never panic.
         let _ = decode_request(&frame[4..]);
-    }
-
-    #[test]
-    fn batch_roundtrips_and_adversarial_counts_fail_closed(
-        ids in proptest::collection::vec("[a-z]{0,12}", 0..6),
-        count_header in any::<u16>(),
-        tail in proptest::collection::vec(any::<u8>(), 0..48),
-    ) {
-        let items: Vec<Request> = ids
-            .into_iter()
-            .enumerate()
-            .map(|(i, id)| sample_request(i as u8 % 2, id, vec![i as u8; i]))
-            .collect();
-        let body = encode_batch_items(&items);
-        let decoded = decode_batch_items(&body);
-        prop_assert_eq!(decoded.as_ref(), Some(&items));
-        // A forged count header over arbitrary item bytes: the declared
-        // count can exceed what `tail` holds by orders of magnitude; the
-        // decoder must reject or parse without panicking, and a count
-        // larger than tail/7 items must never succeed.
-        let mut forged = count_header.to_be_bytes().to_vec();
-        forged.extend_from_slice(&tail);
-        if let Some(parsed) = decode_batch_items(&forged) {
-            prop_assert_eq!(parsed.len(), count_header as usize);
-        }
-    }
-
-    #[test]
-    fn batch_replies_roundtrip_and_survive_stomps(
-        statuses in proptest::collection::vec(0u8..4, 0..6),
-        pos in 0usize..64,
-        stomp in any::<u8>(),
-    ) {
-        let replies: Vec<Response> = statuses
-            .iter()
-            .map(|&s| sample_response(s, vec![s; s as usize]))
-            .collect();
-        let mut body = encode_batch_replies(&replies);
-        let decoded = decode_batch_replies(&body);
-        prop_assert_eq!(decoded.as_ref(), Some(&replies));
-        if !body.is_empty() {
-            let idx = pos % body.len();
-            body[idx] ^= stomp;
-            let _ = decode_batch_replies(&body);
-        }
     }
 
     #[test]

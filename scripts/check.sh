@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, tier-1 build + tests.
+# Repo gate: formatting, lints, rustdoc, tier-1 build + tests.
 #
 # Run from anywhere; everything executes at the workspace root. This is
 # what CI (and the next contributor) should run before pushing.
@@ -11,6 +11,11 @@ cargo fmt --all --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc: a deleted item must not leave intra-doc links behind that
+# point at nothing, so every rustdoc warning fails the gate.
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Static analysis (DESIGN.md §11, §16): panic-freedom in request
 # paths, secret hygiene, untrusted-length bounds, constant-time

@@ -1,7 +1,7 @@
 //! Offline subset of the `proptest` API (see `shims/README.md`).
 //!
 //! Implements the surface sempair's property tests use: the
-//! [`proptest!`] macro, `prop_assert*`/`prop_assume!`, [`any`],
+//! [`proptest!`] macro, `prop_assert*`/`prop_assume!`, [`any`](arbitrary::any),
 //! integer-range and tuple strategies, `collection::vec`, `prop_map`,
 //! and `ProptestConfig::with_cases`. Each test runs its configured
 //! number of random cases from a per-test deterministic seed. Failing
