@@ -9,10 +9,10 @@
 //!
 //! ```json
 //! {
-//!   "schema": "sempair-bench-serving/2",
+//!   "schema": "sempair-bench-serving/3",
 //!   "mode": "full",
 //!   "identities": 1000000,
-//!   "results": {"v1_req_per_s": 0.0, "pipelined_req_per_s": 0.0, ...},
+//!   "results": {"window1_req_per_s": 0.0, "pipelined_req_per_s": 0.0, ...},
 //!   "cache_sweep": [{"cache_cap": 0, "hit_rate": 0.0, ...}, ...],
 //!   "targets": {"pipelined_speedup_min": 4.0, ...}
 //! }
@@ -30,7 +30,7 @@
 //! delay, because head-of-line blocking is a *latency* pathology: on a
 //! zero-RTT loopback a single-in-flight client is bounded only by the
 //! pairing CPU (which `BENCH_pairing.json` already covers), and both
-//! serving models measure the same number. With a real link the v1
+//! serving models measure the same number. With a real link the window-1
 //! model eats one full round trip per request while the pipelined
 //! model keeps `depth` requests on the wire — the speedup below is the
 //! RTT-hiding the protocol change buys, at equal worker count and
@@ -77,9 +77,16 @@ fn quantile_us(samples: &mut [Duration], q: f64) -> f64 {
     samples[index].as_secs_f64() * 1e6
 }
 
-/// Phase 1: single-in-flight v1 clients, one request outstanding per
-/// connection — the pre-pipelining serving model.
-fn v1_throughput(addr: SocketAddr, pkg: &Pkg, zipf: &Zipf, load: &Workload, conns: usize) -> f64 {
+/// Phase 1: single-in-flight clients, one enveloped request
+/// outstanding per connection (window 1) — the pre-pipelining serving
+/// model.
+fn window1_throughput(
+    addr: SocketAddr,
+    pkg: &Pkg,
+    zipf: &Zipf,
+    load: &Workload,
+    conns: usize,
+) -> f64 {
     let total = load.requests_per_conn * conns;
     let started = Instant::now();
     std::thread::scope(|scope| {
@@ -87,15 +94,8 @@ fn v1_throughput(addr: SocketAddr, pkg: &Pkg, zipf: &Zipf, load: &Workload, conn
             .map(|conn| {
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0x5EED + conn as u64);
-                    let mut client = TcpSemClient::connect_with(
-                        addr,
-                        pkg.params().clone(),
-                        ClientConfig {
-                            pipelined: false,
-                            ..ClientConfig::default()
-                        },
-                    )
-                    .expect("v1 connect");
+                    let mut client = TcpSemClient::connect(addr, pkg.params().clone())
+                        .expect("window-1 connect");
                     let u = pkg
                         .params()
                         .curve()
@@ -111,7 +111,7 @@ fn v1_throughput(addr: SocketAddr, pkg: &Pkg, zipf: &Zipf, load: &Workload, conn
             })
             .collect();
         for handle in handles {
-            handle.join().expect("v1 load thread");
+            handle.join().expect("window-1 load thread");
         }
     });
     total as f64 / started.elapsed().as_secs_f64()
@@ -392,10 +392,10 @@ fn main() {
         LINK_ONE_WAY.as_millis()
     );
 
-    let v1_rps = v1_throughput(addr, &pkg, &zipf, &load, CONNS);
-    println!("v1 single-in-flight: {v1_rps:.0} req/s");
+    let window1_rps = window1_throughput(addr, &pkg, &zipf, &load, CONNS);
+    println!("window-1 single-in-flight: {window1_rps:.0} req/s");
     let piped_rps = pipelined_throughput(addr, &pkg, &zipf, &load, CONNS, DEPTH);
-    let speedup = piped_rps / v1_rps;
+    let speedup = piped_rps / window1_rps;
     println!("pipelined depth-{DEPTH}: {piped_rps:.0} req/s ({speedup:.1}x, target >= 4x)");
 
     // Tail latency, quiet vs a one-shard revocation storm. The storm
@@ -507,12 +507,12 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"schema\": \"sempair-bench-serving/2\",\n  \"mode\": \"{}\",\n  \
+        "{{\n  \"schema\": \"sempair-bench-serving/3\",\n  \"mode\": \"{}\",\n  \
          \"identities\": {},\n  \"hot_identities\": {},\n  \"enrolled_identities\": {enrolled},\n  \
          \"zipf_s\": 1.0,\n  \
          \"workers\": {WORKERS},\n  \"shards\": {SHARDS},\n  \"conns\": {CONNS},\n  \
          \"pipeline_depth\": {DEPTH},\n  \"link_one_way_ms\": {},\n  \"results\": {{\n    \
-         \"v1_req_per_s\": {v1_rps:.1},\n    \
+         \"window1_req_per_s\": {window1_rps:.1},\n    \
          \"pipelined_req_per_s\": {piped_rps:.1},\n    \
          \"pipelined_speedup\": {speedup:.2},\n    \
          \"quiet_p50_us\": {quiet_p50:.1},\n    \"quiet_p99_us\": {quiet_p99:.1},\n    \

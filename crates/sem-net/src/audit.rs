@@ -509,7 +509,8 @@ impl MetricsSnapshot {
     /// [`MetricsSnapshot::to_prometheus_text`] output.
     ///
     /// Returns `None` for text that is not a complete, well-formed
-    /// exposition.
+    /// exposition. Well-formed series with names this reader does not
+    /// know are skipped.
     pub fn from_prometheus_text(text: &str) -> Option<Self> {
         let mut scalars: HashMap<&str, u64> = HashMap::new();
         let mut latency: Vec<LatencySeries> = Vec::new();
@@ -567,7 +568,10 @@ impl MetricsSnapshot {
                 _ if labels.is_empty() => {
                     scalars.insert(name, value);
                 }
-                _ => return None,
+                // A well-formed labeled series this reader does not
+                // know (say, one an older daemon still emits) is
+                // skipped, so a mixed-version cluster keeps merging.
+                _ => {}
             }
         }
         let get = |name: &str| scalars.get(name).copied();
@@ -1430,6 +1434,19 @@ mod tests {
         assert!(text.contains("sem_transport_timeouts_total 1"));
         assert!(!text.contains("sem_transport_requests_total"));
         assert!(!text.contains("sem_batch_size"));
+        // An older daemon's exposition still carries the per-mode
+        // request counters and the batch-size histogram; this reader
+        // skips those series and parses the same snapshot.
+        let older = format!(
+            "{text}sem_transport_requests_total{{mode=\"single\"}} 13\n\
+             sem_transport_requests_total{{mode=\"batched\"}} 0\n\
+             sem_batch_size_bucket{{le=\"1\"}} 0\n\
+             sem_batch_size_bucket{{le=\"+Inf\"}} 0\n\
+             sem_batch_size_count 0\n\
+             sem_batch_size_sum 0\n"
+        );
+        let parsed = MetricsSnapshot::from_prometheus_text(&older).expect("parseable");
+        assert_eq!(parsed, snapshot);
     }
 
     #[test]

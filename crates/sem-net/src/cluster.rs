@@ -315,18 +315,16 @@ impl QuorumClient {
     }
 
     /// One request to replica `i`, dialing (or re-dialing) its stub if
-    /// needed. A transport failure tears the cached stub down so the
-    /// next request starts from a fresh connect.
+    /// needed. The stub's retries keep their request id, so a replica
+    /// that already answered replays its recorded share instead of
+    /// computing a second one. A transport failure tears the cached
+    /// stub down so the next request starts from a fresh connect.
     fn request_share(&self, i: usize, id: &str, u: &G1Affine) -> Result<DecryptionShare, Error> {
         let mut slot = self.slots[i].client.lock();
         if slot.is_none() {
-            // The quorum path stays on plain v1 framing: it issues one
-            // request per replica per round anyway, and the fixed v1
-            // byte layout is what the cheater-attribution machinery
-            // (and its fault-injection offsets) is calibrated against.
-            let mut config = self.config.clone();
-            config.pipelined = false;
-            *slot = TcpSemClient::connect_with(self.addrs[i], self.params.clone(), config).ok();
+            *slot =
+                TcpSemClient::connect_with(self.addrs[i], self.params.clone(), self.config.clone())
+                    .ok();
         }
         let Some(client) = slot.as_mut() else {
             return Err(Error::Transport);

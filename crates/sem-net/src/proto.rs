@@ -34,13 +34,14 @@
 //!   pipelined-reply := u64 req-id ‖ u8 status ‖ u32 body-len ‖ body
 //!   ```
 //!
-//!   The reply rides in an ordinary ok-response body, so *every frame
-//!   on the wire is still a v1 frame* — a v1-only server answers op 6
-//!   with `Invalid` (no version handshake frames are added, and frame
-//!   counts seen by the fault proxy are identical to v1). Envelopes
-//!   cannot nest. The `(session, req-id)` pair keys the server's
-//!   idempotency window: a retried request with the same pair replays
-//!   the recorded response instead of executing twice.
+//!   The reply rides in an ordinary ok-response body, so every frame
+//!   on the wire keeps the frame layout above (no handshake frames,
+//!   one frame each way per request). The envelope is the only request
+//!   framing the daemon serves: a frame of any other op gets one empty
+//!   plain `Invalid`. Envelopes cannot nest. The `(session, req-id)`
+//!   pair keys the server's idempotency window: a retried request with
+//!   the same pair replays the recorded response instead of executing
+//!   twice.
 //!
 //! The sizes on this wire are exactly the E3 numbers — the protocol is
 //! the paper's bandwidth table made concrete (v2 adds

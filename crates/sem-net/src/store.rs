@@ -511,7 +511,12 @@ mod tests {
             .collect();
         // Opens `bytes`; returns how many records the replay kept, or
         // `None` when it refused (after checking the file is untouched).
+        // Each case gets a fresh file: rewriting one path truncates it
+        // first, and ext4 flushes a file replaced by truncation when it
+        // is closed, one flush per case.
         let replay = |bytes: &[u8]| -> Option<usize> {
+            let path = temp_journal("matrix-case");
+            let _cleanup = Cleanup(path.clone());
             std::fs::write(&path, bytes).unwrap();
             match Journal::open(&path) {
                 Err(err) => {

@@ -150,7 +150,7 @@ fn corrupted_frame_answered_invalid_without_killing_connection() {
 /// reconnects, re-sends, and the caller never sees an error.
 #[test]
 fn client_retries_through_one_dropped_response() {
-    let (pkg, server, _, c) = setup(ServerConfig::default());
+    let (pkg, server, user, c) = setup(ServerConfig::default());
     // Swallow exactly the first server→client frame.
     let proxy = FaultProxy::spawn(
         server.local_addr(),
@@ -168,9 +168,24 @@ fn client_retries_through_one_dropped_response() {
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.reconnects, 1);
     assert_eq!(proxy.stats().dropped, 1);
-    // The healed connection keeps working without further retries.
-    client.ibe_token("alice", &c.u).unwrap();
+    // The healed connection keeps working without further retries. A
+    // new request after the reconnect carries a fresh request id: a
+    // stub that restarted its id counter would be answered with the
+    // first token replayed from the daemon's idempotency window.
+    let mut rng = StdRng::seed_from_u64(0xF2E54);
+    let second = pkg
+        .params()
+        .encrypt_full(&mut rng, "alice", b"second")
+        .unwrap();
+    let token = client.ibe_token("alice", &second.u).unwrap();
+    assert_eq!(
+        user.finish_decrypt(pkg.params(), &second, &token).unwrap(),
+        b"second"
+    );
     assert_eq!(client.stats().retries, 1);
+    // The dropped response was executed once and replayed to the
+    // retry, so the two requests are the only two executions.
+    assert_eq!(server.audit_stats("alice").served, 2);
     proxy.shutdown();
     server.shutdown();
 }

@@ -108,15 +108,16 @@ fn cheating_replica_is_detected_and_named() {
     let user = cluster.enroll(&mut rng, "bob").unwrap();
     // Interpose a corrupting proxy in front of replica 2 (index 3):
     // every server→client frame gets one byte of its share body
-    // flipped (payload offset 20 sits inside the Gt value, past the
-    // status/length envelope), so the NIZK must catch it.
+    // flipped (payload offset 33 = 20 + the 13-byte reply envelope
+    // sits inside the Gt value, past the status/length header and the
+    // req_id/status/length envelope), so the NIZK must catch it.
     let addrs = cluster.addrs();
     let proxy = FaultProxy::spawn(
         addrs[2],
         FaultPlan::clean(),
         FaultPlan::script(vec![
             Fault::Corrupt {
-                offset: 20,
+                offset: 33,
                 xor: 0xA5
             };
             256
@@ -214,13 +215,14 @@ fn acceptance_five_replica_cluster_under_compound_failure() {
 
     // Replica 5 (index 4) turns byzantine via a corrupting proxy:
     // every other server→client frame has a byte of its Gt value
-    // flipped, so half its shares fail the NIZK.
+    // flipped (payload offset 33, past the reply envelope), so half
+    // its shares fail the NIZK.
     let addrs = cluster.addrs();
     let alternating: Vec<Fault> = (0..4096)
         .map(|i| {
             if i % 2 == 0 {
                 Fault::Corrupt {
-                    offset: 20,
+                    offset: 33,
                     xor: 0x5A,
                 }
             } else {

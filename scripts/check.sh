@@ -61,20 +61,20 @@ cargo run --release -q -p sempair-bench --bin pairing_bench
 grep -q '"schema": "sempair-bench-pairing/2"' BENCH_pairing.json \
   || { echo "BENCH_pairing.json is not schema sempair-bench-pairing/2" >&2; exit 1; }
 
-# Serving perf trajectory (sempair-bench-serving/2): pipelined vs
+# Serving perf trajectory (sempair-bench-serving/3): pipelined vs
 # single-in-flight throughput, tail latency under a one-shard
 # revocation storm, and the precompute-tier cache sweep. Smoke mode
 # keeps this a short load test; the acceptance ratios are recorded in
 # the JSON, not asserted, so a loaded host cannot flake the gate. What
-# IS asserted is structure: the artifact carries the v2 schema (the
-# cache sweep exists), and the live stats op exposed the sem_cache_*
+# IS asserted is structure: the artifact carries the /3 schema (the
+# cache sweep exists, the baseline is the enveloped window-1 client), and the live stats op exposed the sem_cache_*
 # counter series — both break on code regressions, not on load.
 echo "== serving benchmark smoke (writes BENCH_serving.json)"
 serving_log="$(mktemp)"
 timeout --kill-after=10s 300s cargo run --release -q -p sempair-bench --bin serving_bench -- --smoke \
   | tee "$serving_log"
-grep -q '"schema": "sempair-bench-serving/2"' BENCH_serving.json \
-  || { echo "BENCH_serving.json is not schema sempair-bench-serving/2" >&2; exit 1; }
+grep -q '"schema": "sempair-bench-serving/3"' BENCH_serving.json \
+  || { echo "BENCH_serving.json is not schema sempair-bench-serving/3" >&2; exit 1; }
 grep -q '^sem_cache_hits_total{cache="half_key"}' "$serving_log" \
   || { echo "serving smoke exposed no sem_cache_* counters over the stats op" >&2; exit 1; }
 rm -f "$serving_log"
